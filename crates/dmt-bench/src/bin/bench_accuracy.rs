@@ -18,8 +18,9 @@
 //! written to `BENCH_ACC.json`. CI re-runs this binary on the same pinned
 //! configuration and gates regressions with `acc_compare`.
 //!
-//! The DMT row is pinned to serial updates ([`dmt_bench::accuracy_model`]);
-//! parallel updates are bit-identical, but pinning keeps the blessed file
+//! The DMT row is pinned to `Parallelism::Serial`
+//! ([`dmt_bench::accuracy_model`]); pooled prediction is bit-identical, but
+//! pinning keeps the blessed file
 //! independent of the `DMT_PARALLELISM` environment variable.
 //!
 //! Besides the workloads, the suite folds the paper-reproduction surface into

@@ -1,6 +1,8 @@
 //! Throughput tracking for the repository's perf trajectory: test-then-train
-//! instances/sec of the DMT (serial *and* threaded — the `DMT (2T)` row runs
-//! the identical model with `Parallelism::Threads(2)`) and the stand-alone
+//! instances/sec of the DMT (serial *and* pooled — the `DMT (2T)` row runs
+//! the identical model with `Parallelism::Threads(2)`, which learns serially
+//! and chunks prediction batches of at least `PREDICT_PARALLEL_THRESHOLD`
+//! rows over a 2-executor worker pool) and the stand-alone
 //! baseline trees on the SEA, Agrawal and RBF generators, written to
 //! `BENCH_<n>.json`.
 //!

@@ -50,10 +50,13 @@ pub const THROUGHPUT_STREAMS: [&str; 3] = ["SEA", "Agrawal", "RBF"];
 
 /// One model row of the throughput suite.
 ///
-/// The suite runs every stand-alone model of the paper plus a **parallel DMT
+/// The suite runs every stand-alone model of the paper plus a **pooled DMT
 /// row**: the same Dynamic Model Tree with `Parallelism::Threads(n)`, so the
-/// committed `BENCH_<n>.json` tracks the serial and the threaded learn path
-/// side by side and `bench_compare` gates both. Parallelism is pinned
+/// committed `BENCH_<n>.json` tracks the serial tree and the tree carrying a
+/// worker pool side by side and `bench_compare` gates both. Learning is
+/// serial in both rows; the pooled row chunks prediction batches of at least
+/// `PREDICT_PARALLEL_THRESHOLD` rows over its pool, so at smaller batch sizes
+/// it measures what the pool costs when idle. Parallelism is pinned
 /// *explicitly* per row (serial for the standard rows), so a stray
 /// `DMT_PARALLELISM` environment variable can never skew a blessed baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +68,7 @@ pub enum ThroughputModel {
 }
 
 impl ThroughputModel {
-    /// Display name used in the JSON rows (`"DMT (2T)"` for the threaded
+    /// Display name used in the JSON rows (`"DMT (2T)"` for the pooled
     /// row).
     pub fn display_name(&self) -> String {
         match self {
@@ -98,7 +101,7 @@ impl ThroughputModel {
             ThroughputModel::Standard(kind) => return build_model(*kind, schema, seed),
         };
         // One shared construction for both DMT rows, so a future bench-row
-        // config tweak cannot silently diverge between serial and threaded.
+        // config tweak cannot silently diverge between serial and pooled.
         Box::new(DynamicModelTree::new(
             schema.clone(),
             DmtConfig {
@@ -114,8 +117,8 @@ impl ThroughputModel {
 /// accuracy-regression gate).
 ///
 /// Identical to [`build_model`] except that the DMT row is pinned to
-/// `Parallelism::Serial` explicitly. Parallel updates are bit-identical to
-/// serial ones, but pinning keeps the blessed `BENCH_ACC.json` independent of
+/// `Parallelism::Serial` explicitly. Pooled prediction is bit-identical to
+/// serial prediction, but pinning keeps the blessed `BENCH_ACC.json` independent of
 /// any `DMT_PARALLELISM` environment variable on the blessing machine — the
 /// same policy the throughput rows follow (see [`ThroughputModel::build`]).
 pub fn accuracy_model(
@@ -138,7 +141,7 @@ pub fn accuracy_model(
 }
 
 /// The model rows of the throughput suite, in run order: every stand-alone
-/// model plus the threaded DMT row (2 workers — the CI configuration).
+/// model plus the pooled DMT row (2 workers — the CI configuration).
 pub fn throughput_models() -> Vec<ThroughputModel> {
     let mut models: Vec<ThroughputModel> = STANDALONE_MODELS
         .iter()

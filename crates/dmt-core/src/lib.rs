@@ -29,8 +29,8 @@
 //! (struct-of-arrays split keys, [`NodeId`]-based links, free-list slot
 //! reuse on prune); prediction and learning both route whole batches through
 //! it in a single level-by-level pass — see the [`arena`] module docs.
-//! Training and large-batch prediction can additionally fan disjoint
-//! workloads out to a persistent [`WorkerPool`]
+//! Training is serial. Large prediction batches can additionally fan
+//! contiguous row chunks out to a persistent [`WorkerPool`]
 //! ([`DmtConfig::parallelism`], [`Parallelism::Threads`]) with bit-identical
 //! results — see the [`parallel`] module docs.
 //!

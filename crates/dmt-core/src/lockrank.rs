@@ -45,10 +45,6 @@ impl LockRank {
     /// Human-readable statement of the full order, for diagnostics.
     pub const ORDER: &'static str =
         "RegistryMap(1) -> TenantWriter(2) -> PoolJobSlot(3) -> EpochCell(4)";
-
-    fn as_u8(self) -> u8 {
-        self as u8
-    }
 }
 
 #[cfg(debug_assertions)]
@@ -95,8 +91,8 @@ impl RankToken {
                         "lock rank inversion: acquiring {rank:?} (rank {}) while \
                          holding {worst:?} (rank {}); locks must be taken in \
                          strictly increasing order: {}",
-                        rank.as_u8(),
-                        worst.as_u8(),
+                        rank as u8,
+                        worst as u8,
                         LockRank::ORDER,
                     );
                 }

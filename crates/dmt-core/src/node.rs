@@ -111,9 +111,9 @@ impl NodeStats {
     }
 
     /// A zero-parameter placeholder payload that performs no heap allocation
-    /// (empty model, empty gradient buffer). The arena back-fills moved-out
-    /// slots with placeholders while a subtree is detached into a worker
-    /// arena; a placeholder is never read before being overwritten.
+    /// (empty model, empty gradient buffer). Snapshot decoding and arena
+    /// compaction fill dead or vacated slots with placeholders; a
+    /// placeholder is never read before being overwritten.
     pub(crate) fn placeholder() -> Self {
         Self::new(Glm::placeholder())
     }
@@ -772,11 +772,7 @@ fn warm_started_children(
 /// out of the contiguous matrix the node update just gathered (`xbuf` row
 /// `pos` is `xs[idx[pos]]`), avoiding one pointer chase per instance; the
 /// [`Routing::PerInstance`] reference re-reads the original row pointers.
-///
-/// Shared by the serial recursion ([`learn_at`]) and the parallel spine
-/// descent (`tree::learn_batch` with `Parallelism::Threads`), so both paths
-/// route bit-identically by construction.
-pub(crate) fn partition_indices(
+fn partition_indices(
     key: &CandidateKey,
     xs: &[&[f64]],
     idx: &mut [usize],
@@ -807,17 +803,11 @@ pub(crate) fn partition_indices(
 /// have already consumed the batch: prune (gain (5)) and replace (gain (4)),
 /// thresholded by the AIC test. Returns the decision taken at `id`.
 ///
-/// Extracted from the tail of [`learn_at`] so the parallel learn path can run
-/// the identical check for its spine nodes after the subtree workers joined —
-/// serial and parallel runs therefore take bit-identical structural
-/// decisions. The check only reads/mutates `id`'s own subtree, so the order
-/// in which disjoint subtrees are checked cannot change any outcome.
-///
 /// `allow_growth` is the budget ladder's hard floor (rung 4): when `false`,
 /// replacements are suppressed (they re-allocate child payloads) while prunes
 /// — which only ever release memory — still run. Unbudgeted trees always
 /// pass `true`, so the flag is inert unless a memory budget is armed.
-pub(crate) fn structural_check_inner(
+fn structural_check_inner(
     arena: &mut NodeArena,
     id: NodeId,
     config: &DmtConfig,

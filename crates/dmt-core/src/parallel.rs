@@ -1,17 +1,22 @@
-//! Persistent worker pool for parallel subtree updates, batched prediction
-//! and ensemble member training.
+//! Persistent worker pool for batched prediction and ensemble member
+//! training.
 //!
-//! # Why subtree parallelism
+//! # What runs on the pool
 //!
-//! The DMT update loop is subtree-parallel by construction: once an inner
-//! node has routed a batch (the stable in-place index partition of
-//! `node::learn_at`), the left and right sub-batches update *disjoint*
-//! subtrees — no statistic, candidate pool or structural decision of one
-//! child's subtree ever reads the other's (Algorithm 1 of the paper recurses
-//! independently per child). PR 3's arena made this exploitable: subtrees are
-//! addressed by [`crate::arena::NodeId`] and can be detached into worker-owned
-//! arenas (`NodeArena::detach_subtree`, crate-internal), updated on worker
-//! threads, and grafted back deterministically in child order.
+//! * **Pool-chunked prediction**:
+//!   [`DynamicModelTree::predict_batch_into`](crate::DynamicModelTree::predict_batch_into)
+//!   splits a batch of at least [`crate::PREDICT_PARALLEL_THRESHOLD`] rows
+//!   into contiguous row chunks, one per executor. Rows are independent, so
+//!   the chunked pass is bit-identical to the serial one.
+//! * **Ensemble members**: the `dmt-ensembles` learners train and predict
+//!   their members as independent work items.
+//!
+//! Tree *learning* is serial. Algorithm 1 of the paper recurses
+//! independently per child, but a prequential batch is a small share of the
+//! stream, so the spine above the subtrees leaves little to split: a
+//! subtree-parallel learn path measured no faster than serial on a 2-core
+//! Xeon at batch sizes 100 to 10 000, so learning has no parallel path.
+//! Parallel split search is better cut per feature than per subtree.
 //!
 //! # Why a persistent, hand-rolled pool
 //!
@@ -30,7 +35,7 @@
 //!   thread spawn per batch.
 //! * Results come back **indexed by item position** — the caller's merge
 //!   order is the item order, never the completion order, which is what keeps
-//!   the parallel learn path bit-identical to the serial one.
+//!   pooled ensembles bit-identical to serial ones.
 //! * A panic inside a work item is caught on the worker, the remaining queue
 //!   is drained, and the payload is re-raised on the **dispatching** thread
 //!   before [`WorkerPool::run`] returns — pool threads survive panicking
@@ -78,24 +83,22 @@ use crate::lockrank::{LockRank, RankToken};
 /// the pool to spawn an absurd number of threads.
 pub const MAX_WORKERS: usize = 64;
 
-/// How `DynamicModelTree::learn_batch` distributes disjoint subtree
-/// workloads after the top-level index partition (see
-/// [`crate::tree::DmtConfig::parallelism`]).
+/// How many executors a model's [`WorkerPool`] gets (see
+/// [`crate::tree::DmtConfig::parallelism`] and the ensembles' `parallelism`
+/// fields).
 ///
-/// The parallel mode is **bit-identical** to the serial mode: workers update
-/// disjoint subtrees with per-worker scratch spaces and their results are
-/// merged in child order (pinned by `tests/integration_parallel.rs` at batch
-/// sizes 1/7/64 with workers 1/2/4). Only wall-clock time differs.
+/// A host setting, not model state: pooled and serial runs are
+/// **bit-identical** (pinned by `tests/integration_parallel.rs`), so
+/// snapshots do not store it. Only wall-clock time differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Single-threaded recursive descent (the default).
+    /// Everything runs on the calling thread (the default).
     #[default]
     Serial,
-    /// Up to `n` worker threads over disjoint subtree workloads. `Threads(0)`
-    /// and `Threads(1)` behave exactly like [`Parallelism::Serial`]: the
-    /// learn/predict paths short-circuit to the serial code before any pool
-    /// or queue machinery is touched, so a "parallel" configuration with
-    /// zero concurrency pays zero dispatch overhead.
+    /// A pool of up to `n` executors. `Threads(0)` and `Threads(1)` behave
+    /// exactly like [`Parallelism::Serial`]: no pool is created and no queue
+    /// machinery is touched, so a "parallel" configuration with zero
+    /// concurrency pays zero dispatch overhead.
     Threads(usize),
 }
 
@@ -629,7 +632,7 @@ mod tests {
     #[test]
     fn tasks_mutate_disjoint_borrowed_slices() {
         // The intended usage shape: items carry `&mut` borrows into one
-        // buffer, split disjointly, exactly like subtree index ranges.
+        // buffer, split disjointly, exactly like pool-chunked prediction rows.
         let pool = WorkerPool::new(2);
         let mut buffer: Vec<usize> = vec![0; 10];
         let (a, b) = buffer.split_at_mut(5);

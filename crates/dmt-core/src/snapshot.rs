@@ -14,7 +14,8 @@
 //!
 //! ```text
 //! magic   8 bytes  b"DMTSNAP\0"
-//! version u32 LE   SNAPSHOT_VERSION (readers reject other versions)
+//! version u32 LE   SNAPSHOT_VERSION (readers also accept
+//!                  OLDEST_READABLE_VERSION and reject anything else)
 //! crc32   u32 LE   CRC-32 (IEEE) of the payload bytes
 //! length  u64 LE   payload length in bytes
 //! payload          config | schema | observations | root | arena | decisions
@@ -38,14 +39,14 @@
 //!   loops or constructs an inconsistent tree. Decoded structure passes
 //!   [`NodeArena::validate`] plus shape checks (model dimensions against the
 //!   schema, split features in range) before a tree is handed back.
-//! * Parallelism is host-local, not model state: when the `DMT_PARALLELISM`
-//!   environment variable is set it overrides the snapshotted
-//!   [`DmtConfig::parallelism`], so a snapshot saved by a serial build can be
-//!   served by a threaded deployment (and vice versa) — results stay
-//!   bit-identical either way. The override never leaks back into the wire
-//!   bytes: re-saving a restored tree writes the *persisted* parallelism
-//!   ([`DynamicModelTree::persisted_parallelism`]), so save → load → save is
-//!   the identity on bytes regardless of the restoring host's environment.
+//! * Parallelism is host-local, not model state: snapshots do not store
+//!   [`DmtConfig::parallelism`], and a restored tree reads it from the host
+//!   ([`Parallelism::from_env`]). Pooled and serial prediction are
+//!   bit-identical, so save → load → save is the identity on bytes under
+//!   every `DMT_PARALLELISM` value.
+//! * Version 2 files still load: their config record carries the retired
+//!   parallelism tag and predict-parallel threshold, which the decoder reads
+//!   and discards. A re-save writes version 3.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -64,10 +65,16 @@ use crate::tree::{DmtConfig, DynamicModelTree};
 /// File magic identifying a Dynamic Model Tree snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DMTSNAP\0";
 
-/// Current snapshot format version; readers reject anything else with
-/// [`SnapshotError::VersionSkew`]. Version 2 appended the optional
-/// [`DmtConfig::memory_budget_bytes`] field to the config record.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current snapshot format version. Version 2 appended the optional
+/// [`DmtConfig::memory_budget_bytes`] field to the config record; version 3
+/// dropped the host-local parallelism tag and predict-parallel threshold
+/// from it.
+pub const SNAPSHOT_VERSION: u32 = 3;
+
+/// Oldest format version [`open_payload`] still accepts; older and newer
+/// versions fail with [`SnapshotError::VersionSkew`]. Writers always emit
+/// [`SNAPSHOT_VERSION`].
+pub const OLDEST_READABLE_VERSION: u32 = 2;
 
 // The byte-level primitives crate sits below this one in the dependency
 // stack and cannot import SNAPSHOT_VERSION, so it carries its own copy; the
@@ -218,10 +225,17 @@ pub fn seal_payload(payload: &[u8]) -> Vec<u8> {
 
 /// Validate the snapshot envelope of `bytes` and return the payload slice.
 ///
-/// Checks, in order: header completeness, magic, version, announced length
+/// Checks, in order: header completeness, magic, version (any of
+/// [`OLDEST_READABLE_VERSION`]`..=`[`SNAPSHOT_VERSION`]), announced length
 /// against the actual byte count (both directions — trailing garbage is
 /// rejected too), and the CRC-32 checksum.
 pub fn open_payload(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
+    open_versioned(bytes).map(|(_, payload)| payload)
+}
+
+/// [`open_payload`] that also returns the envelope's format version, for
+/// decoders whose payload layout changed between versions.
+fn open_versioned(bytes: &[u8]) -> Result<(u32, &[u8]), SnapshotError> {
     if bytes.len() < SNAPSHOT_HEADER_LEN {
         return Err(SnapshotError::Truncated {
             needed: SNAPSHOT_HEADER_LEN,
@@ -232,7 +246,7 @@ pub fn open_payload(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
         return Err(SnapshotError::NotASnapshot);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 header bytes"));
-    if version != SNAPSHOT_VERSION {
+    if !(OLDEST_READABLE_VERSION..=SNAPSHOT_VERSION).contains(&version) {
         return Err(SnapshotError::VersionSkew {
             found: version,
             supported: SNAPSHOT_VERSION,
@@ -264,7 +278,7 @@ pub fn open_payload(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     if computed != stored {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
-    Ok(payload)
+    Ok((version, payload))
 }
 
 /// Atomically write `payload`, wrapped in the snapshot envelope, to `path`:
@@ -314,14 +328,6 @@ fn encode_config(c: &DmtConfig, w: &mut Writer) {
             w.put_usize(window);
         }
     }
-    match c.parallelism {
-        Parallelism::Serial => w.put_u8(0),
-        Parallelism::Threads(n) => {
-            w.put_u8(1);
-            w.put_usize(n);
-        }
-    }
-    w.put_usize(c.predict_parallel_threshold);
     match c.memory_budget_bytes {
         None => w.put_u8(0),
         Some(budget) => {
@@ -336,7 +342,9 @@ fn encode_config(c: &DmtConfig, w: &mut Writer) {
 /// serve to make the first batch allocate absurdly.
 const MAX_CANDIDATE_FACTOR: usize = 1 << 20;
 
-fn decode_config(r: &mut Reader<'_>) -> Result<DmtConfig, SnapshotError> {
+/// Decode the config record of a `version` snapshot. The parallelism is not
+/// model state; it comes from the host ([`Parallelism::from_env`]).
+fn decode_config(r: &mut Reader<'_>, version: u32) -> Result<DmtConfig, SnapshotError> {
     let learning_rate = r.get_f64()?;
     let epsilon = r.get_f64()?;
     let use_aic_threshold = r.get_bool()?;
@@ -351,12 +359,17 @@ fn decode_config(r: &mut Reader<'_>) -> Result<DmtConfig, SnapshotError> {
         },
         tag => return Err(invalid(format!("unknown batch mode tag {tag}"))),
     };
-    let parallelism = match r.get_u8()? {
-        0 => Parallelism::Serial,
-        1 => Parallelism::Threads(r.get_usize()?),
-        tag => return Err(invalid(format!("unknown parallelism tag {tag}"))),
-    };
-    let predict_parallel_threshold = r.get_usize()?;
+    if version == 2 {
+        // The retired parallelism tag and predict-parallel threshold.
+        match r.get_u8()? {
+            0 => {}
+            1 => {
+                r.get_usize()?;
+            }
+            tag => return Err(invalid(format!("unknown parallelism tag {tag}"))),
+        }
+        r.get_usize()?;
+    }
     let memory_budget_bytes = match r.get_u8()? {
         0 => None,
         1 => Some(r.get_usize()?),
@@ -379,8 +392,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<DmtConfig, SnapshotError> {
         min_observations_split,
         seed,
         batch_mode,
-        parallelism,
-        predict_parallel_threshold,
+        parallelism: Parallelism::from_env(),
         memory_budget_bytes,
     })
 }
@@ -683,13 +695,7 @@ impl DynamicModelTree {
     /// (header, checksum and payload — see the [module docs](self)).
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        // Serialise the parallelism the model was created (or restored)
-        // with, not the host-local override currently in effect — restoring
-        // under `DMT_PARALLELISM` and re-saving must reproduce the original
-        // bytes.
-        let mut config = self.config().clone();
-        config.parallelism = self.persisted_parallelism();
-        encode_config(&config, &mut w);
+        encode_config(self.config(), &mut w);
         encode_schema(self.schema(), &mut w);
         w.put_u64(self.observations());
         w.put_u32(self.root_id().index() as u32);
@@ -713,19 +719,14 @@ impl DynamicModelTree {
     /// must match the decoded schema, so a hostile file can never produce a
     /// structurally inconsistent tree.
     ///
-    /// If the `DMT_PARALLELISM` environment variable is set it overrides the
-    /// snapshotted parallelism setting (worker threads are a property of the
-    /// host, not of the model; results are bit-identical either way).
+    /// Version 2 snapshots load too (see the [module docs](self)). The
+    /// restored tree's [`DmtConfig::parallelism`] comes from the host
+    /// ([`Parallelism::from_env`]): worker threads are a property of the
+    /// machine, not of the model, and results are bit-identical either way.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = open_payload(bytes)?;
+        let (version, payload) = open_versioned(bytes)?;
         let mut r = Reader::new(payload);
-        let mut config = decode_config(&mut r)?;
-        // The decoded (pre-override) parallelism is what a re-save must
-        // write back out; the override below only affects this process.
-        let persisted_parallelism = config.parallelism;
-        if std::env::var_os("DMT_PARALLELISM").is_some() {
-            config.parallelism = Parallelism::from_env();
-        }
+        let config = decode_config(&mut r, version)?;
         let schema = decode_schema(&mut r)?;
         let observations = r.get_u64()?;
         let root_raw = r.get_u32()?;
@@ -766,7 +767,6 @@ impl DynamicModelTree {
         }
         Ok(DynamicModelTree::from_snapshot_parts(
             config,
-            persisted_parallelism,
             schema,
             arena,
             root,
@@ -801,7 +801,7 @@ impl DynamicModelTree {
     /// Load a model previously saved with
     /// [`DynamicModelTree::save_snapshot`]. See
     /// [`DynamicModelTree::from_snapshot_bytes`] for the validation and
-    /// parallelism-override semantics.
+    /// parallelism semantics.
     pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path)?;
         Self::from_snapshot_bytes(&bytes)
@@ -928,12 +928,15 @@ mod tests {
             Err(SnapshotError::NotASnapshot)
         ));
 
-        let mut skewed = bytes.clone();
-        skewed[8] = 99;
-        assert!(matches!(
-            DynamicModelTree::from_snapshot_bytes(&skewed),
-            Err(SnapshotError::VersionSkew { found: 99, .. })
-        ));
+        for version in [99, OLDEST_READABLE_VERSION - 1] {
+            let mut skewed = bytes.clone();
+            skewed[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                DynamicModelTree::from_snapshot_bytes(&skewed),
+                Err(SnapshotError::VersionSkew { found, supported: SNAPSHOT_VERSION })
+                    if found == version
+            ));
+        }
 
         let mut forged_length = bytes.clone();
         forged_length[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -959,6 +962,70 @@ mod tests {
         let restored = DynamicModelTree::load_snapshot(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(restored.to_snapshot_bytes(), tree.to_snapshot_bytes());
+    }
+
+    /// The tree behind `testdata/tree_v2.dmtsnap`: the version-2 build
+    /// trained exactly this stream (serially) and saved it with its
+    /// parallelism tag set to `Threads(4)` and its predict-parallel
+    /// threshold to 7, so the fixture exercises both retired fields.
+    fn v2_fixture_tree() -> DynamicModelTree {
+        let schema = StreamSchema::numeric("snap", 2, 2);
+        let config = DmtConfig {
+            use_aic_threshold: false,
+            min_observations_split: 40,
+            ..DmtConfig::default()
+        };
+        let mut tree = DynamicModelTree::new(schema, config);
+        for round in 0..45 {
+            let xs: Vec<Vec<f64>> = (0..32)
+                .map(|i| {
+                    let t = ((i * 7 + round * 13) % 101) as f64 / 101.0;
+                    let u = ((i * 31 + round * 3) % 67) as f64 / 67.0;
+                    vec![t, u]
+                })
+                .collect();
+            let ys: Vec<usize> = xs
+                .iter()
+                .map(|x| match round / 15 {
+                    0 => usize::from(x[0] > 0.75),
+                    1 => usize::from(x[0] <= 0.4),
+                    _ => 1,
+                })
+                .collect();
+            let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+            tree.learn_batch(&rows, &ys);
+        }
+        tree
+    }
+
+    #[test]
+    fn version_2_snapshots_load_and_resave_as_the_current_version() {
+        let v2: &[u8] = include_bytes!("../testdata/tree_v2.dmtsnap");
+        assert_eq!(v2[8..12], 2u32.to_le_bytes());
+        let restored = DynamicModelTree::from_snapshot_bytes(v2).unwrap();
+        let saver = v2_fixture_tree();
+        assert!(saver.num_inner_nodes() > 0, "the fixture tree never split");
+        assert_eq!(restored.config().parallelism, Parallelism::from_env());
+        assert_eq!(restored.observations(), saver.observations());
+        assert_eq!(restored.decision_log(), saver.decision_log());
+        for i in 0..200 {
+            let x = [(i % 101) as f64 / 101.0, (i * 31 % 67) as f64 / 67.0];
+            assert_eq!(restored.predict(&x), saver.predict(&x));
+            for (a, b) in restored
+                .predict_proba(&x)
+                .iter()
+                .zip(saver.predict_proba(&x).iter())
+            {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "probabilities must be bit-identical"
+                );
+            }
+        }
+        let resaved = restored.to_snapshot_bytes();
+        assert_eq!(resaved[8..12], SNAPSHOT_VERSION.to_le_bytes());
+        assert_eq!(resaved, saver.to_snapshot_bytes());
     }
 
     #[test]

@@ -44,9 +44,8 @@ impl Glm {
     }
 
     /// Create a zero-parameter placeholder GLM without touching the
-    /// allocator (see [`LogitModel::placeholder`]). Placeholders back-fill
-    /// moved-out tree-node payloads during parallel subtree updates and must
-    /// never be asked to predict or learn.
+    /// allocator (see [`LogitModel::placeholder`]). Placeholders fill dead or
+    /// vacated tree-node slots and must never be asked to predict or learn.
     pub fn placeholder() -> Self {
         Glm::Logit(LogitModel::placeholder())
     }

@@ -23,7 +23,7 @@ use std::fmt;
 /// see `dmt_core::snapshot::SNAPSHOT_VERSION`; instead the snapshot module
 /// compile-time-asserts equality with this constant, and the `dmt-verify`
 /// `version-skew` lint cross-checks the literals. Bump both together.
-pub const WIRE_FORMAT_VERSION: u32 = 2;
+pub const WIRE_FORMAT_VERSION: u32 = 3;
 
 /// Typed decoding failure: either the buffer ended early or the bytes decode
 /// to a structurally invalid value.

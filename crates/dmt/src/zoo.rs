@@ -267,8 +267,9 @@ impl ZooModel {
     }
 
     /// Share a persistent [`WorkerPool`] with the model, if its kind can use
-    /// one (the DMT tree and both ensembles dispatch subtree/member work to
-    /// it; the baseline trees are single-threaded and ignore the call).
+    /// one (the DMT tree dispatches chunked prediction and both ensembles
+    /// dispatch member work to it; the baseline trees are single-threaded
+    /// and ignore the call).
     /// Lets a registry run thousands of tenants over one set of resident
     /// threads instead of each model lazily spawning its own.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {

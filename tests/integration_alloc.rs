@@ -73,12 +73,11 @@ fn steady_state_hot_path_is_allocation_free_per_instance() {
     pooled_ensemble_learn_measurement();
 }
 
-/// The pooled learn path (`Parallelism::Threads(2)`) adds per-batch costs —
-/// the pool dispatch hand-shake, the task queue, subtree detach/attach — but
-/// nothing per *instance*: the allocation count per batch must stay
-/// independent of the batch size, exactly like the serial contract. (The
-/// pool's threads are spawned once, on the first parallel batch, not per
-/// batch.)
+/// A tree configured with `Parallelism::Threads(2)` learns serially but
+/// carries a worker pool for chunked prediction: the allocation count per
+/// batch must stay independent of the batch size, exactly like the serial
+/// contract. (The pool's threads are spawned once, on the first batch that
+/// leaves an inner root, not per batch.)
 fn parallel_learn_measurement() {
     use dmt::core::Parallelism;
     let schema = StreamSchema::numeric("alloc-par", 3, 2);
@@ -118,8 +117,7 @@ fn parallel_learn_measurement() {
         (tree.num_inner_nodes(), tree.num_leaves()),
         "tree restructured during the parallel measurement; lengthen the warm-up"
     );
-    // 8× the instances must not mean more allocations: pool dispatch
-    // bookkeeping is per batch, never per instance.
+    // 8× the instances must not mean more allocations.
     assert!(
         large_allocs < small_allocs + ROUNDS * 100,
         "parallel learn_batch allocations scale with the batch size: \
@@ -128,25 +126,26 @@ fn parallel_learn_measurement() {
     );
 }
 
-/// The pool-chunked predict path: with the parallel threshold forced to 1,
-/// every `predict_batch_into` call fans contiguous row chunks out over the
-/// pool. Dispatch bookkeeping (items/queue/result vectors) is a small
-/// constant per call; the per-chunk scratches come from the tree's warmed
-/// scratch pool — so the allocation count per call must stay independent of
-/// the batch size.
+/// The pool-chunked predict path: both measured batch sizes reach
+/// `PREDICT_PARALLEL_THRESHOLD`, so every `predict_batch_into` call fans
+/// contiguous row chunks out over the pool. Dispatch bookkeeping
+/// (items/queue/result vectors) is a small constant per call; the per-chunk
+/// scratches come from the tree's warmed scratch pool — so the allocation
+/// count per call must stay independent of the batch size.
 fn pooled_predict_measurement() {
-    use dmt::core::Parallelism;
+    use dmt::core::{Parallelism, PREDICT_PARALLEL_THRESHOLD};
     let schema = StreamSchema::numeric("alloc-ppredict", 3, 2);
     let config = DmtConfig {
         parallelism: Parallelism::Threads(2),
-        predict_parallel_threshold: 1,
         ..DmtConfig::default()
     };
     let mut tree = DynamicModelTree::new(schema, config);
 
-    let (small_xs, _) = make_batch(100, 3);
+    let small = PREDICT_PARALLEL_THRESHOLD;
+    let large = 4 * PREDICT_PARALLEL_THRESHOLD;
+    let (small_xs, _) = make_batch(small, 3);
     let small_rows: Vec<&[f64]> = small_xs.iter().map(|v| v.as_slice()).collect();
-    let (large_xs, _) = make_batch(800, 3);
+    let (large_xs, _) = make_batch(large, 3);
     let large_rows: Vec<&[f64]> = large_xs.iter().map(|v| v.as_slice()).collect();
 
     for round in 0..60 {
@@ -176,15 +175,15 @@ fn pooled_predict_measurement() {
     }
     let large_allocs = allocations() - before_large;
 
-    // 8× the rows must not mean more allocations — only the constant
+    // 4× the rows must not mean more allocations — only the constant
     // dispatch bookkeeping per call (plus scratch-pool jitter when an
     // executor's first checkout of the measurement happens on a late-waking
     // thread).
     assert!(
         large_allocs <= small_allocs + CALLS * 4,
         "pooled predict_batch_into allocations scale with the batch size: \
-         {small_allocs} allocs for {CALLS}×100 rows vs \
-         {large_allocs} allocs for {CALLS}×800 rows"
+         {small_allocs} allocs for {CALLS}×{small} rows vs \
+         {large_allocs} allocs for {CALLS}×{large} rows"
     );
     // And the absolute per-call cost stays a small constant.
     assert!(

@@ -104,9 +104,9 @@ fn budget_soak_stays_bounded_on_the_memory_budget_workload() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The same soak through the worker pool: the ladder runs at the batch
-/// boundary after parallel updates too, and pooled scratch is part of the
-/// accounted (and therefore bounded) footprint.
+/// The same soak on a tree carrying a worker pool: the per-executor
+/// prediction scratches of pool-chunked prediction are part of the accounted
+/// (and therefore bounded) footprint.
 #[test]
 fn pooled_budget_soak_stays_bounded_on_the_drift_cocktail() {
     let dir = scratch_dir("pooled-soak");

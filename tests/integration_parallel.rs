@@ -1,27 +1,24 @@
-//! Parallel contracts of the persistent worker pool: with
-//! `Parallelism::Threads(n)` every pooled call site — DMT subtree learning,
-//! pool-chunked batch prediction, and bagging/ARF ensemble member training —
-//! must be **bit-identical** to its serial path for every worker count,
-//! batch size and structural history.
+//! Contracts of the persistent worker pool: with `Parallelism::Threads(n)`
+//! every pooled call site — pool-chunked DMT batch prediction and
+//! bagging/ARF ensemble member training — must be **bit-identical** to its
+//! serial path for every worker count and batch size. Tree learning is
+//! serial whatever the setting, so a pooled tree's snapshot bytes equal its
+//! serial twin's.
 //!
-//! The matrix pins workers 1/2/4 × batch sizes 1/7/64 on a deterministic
-//! step-plus-drift stream that forces splits, replacements *and* prunes, plus
-//! proptest random streams. The serial side of the learn comparison is the
-//! per-instance reference routing (`learn_batch_reference`), so the pin covers
-//! the whole chain: pooled gathered routing == serial gathered routing ==
-//! per-instance reference. Prediction is additionally pinned under the pool's
-//! chunked dispatch and under genuinely concurrent `&self` callers (the
-//! scenario the old `RefCell` scratch panicked on), and the arena's
-//! no-leak/no-orphan invariants are pinned across repeated
-//! detach→split→prune→attach cycles through pooled worker arenas.
+//! The matrix pins workers 1/2/4 on a deterministic step-plus-drift stream
+//! that forces splits, replacements *and* prunes, with ensemble batch sizes
+//! 1/7/64 and prediction batches on both sides of
+//! `PREDICT_PARALLEL_THRESHOLD`. Prediction is additionally pinned under
+//! genuinely concurrent `&self` callers (the scenario the old `RefCell`
+//! scratch panicked on), and one pool is shared across a tree and both
+//! ensembles.
 
 use std::sync::Arc;
 
-use dmt::core::{DmtConfig, DynamicModelTree, Parallelism};
+use dmt::core::{DmtConfig, DynamicModelTree, Parallelism, PREDICT_PARALLEL_THRESHOLD};
 use dmt::ensembles::{AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig};
 use dmt::models::OnlineClassifier;
 use dmt::stream::schema::StreamSchema;
-use proptest::prelude::*;
 
 /// The pinned batch sizes: the scalar edge case, a non-multiple of the
 /// 8-lane kernel width, and a full window multiple.
@@ -53,59 +50,6 @@ fn step_batch(round: usize, phase: usize, n: usize) -> (Vec<Vec<f64>>, Vec<usize
     (xs, ys)
 }
 
-/// Rounds per concept phase so that every batch size feeds each phase enough
-/// instances (~8k) to trigger structural changes.
-fn rounds_per_phase(batch_size: usize) -> usize {
-    (8_000 / batch_size).max(120)
-}
-
-/// Assert two trees are bit-identical: same structure (walked by id in
-/// lockstep), same split keys, same model parameters, same window
-/// accumulators and same candidate pools. Arena *slot numbering* is allowed
-/// to differ — workers allocate in private arenas — which is exactly why the
-/// walk goes by lockstep traversal, not by slot index.
-fn assert_trees_bit_identical(a: &DynamicModelTree, b: &DynamicModelTree) {
-    use dmt::models::SimpleModel;
-    assert_eq!(a.num_inner_nodes(), b.num_inner_nodes());
-    assert_eq!(a.num_leaves(), b.num_leaves());
-    assert_eq!(a.decision_log().len(), b.decision_log().len());
-    let (arena_a, arena_b) = (a.arena(), b.arena());
-    let mut stack = vec![(a.root_id(), b.root_id())];
-    while let Some((ia, ib)) = stack.pop() {
-        assert_eq!(arena_a.is_leaf(ia), arena_b.is_leaf(ib));
-        let (sa, sb) = (arena_a.stats(ia), arena_b.stats(ib));
-        assert_eq!(sa.count, sb.count);
-        assert_eq!(sa.loss_sum.to_bits(), sb.loss_sum.to_bits());
-        assert_eq!(sa.model.params().len(), sb.model.params().len());
-        for (pa, pb) in sa.model.params().iter().zip(sb.model.params().iter()) {
-            assert_eq!(pa.to_bits(), pb.to_bits());
-        }
-        for (ga, gb) in sa.grad_sum.iter().zip(sb.grad_sum.iter()) {
-            assert_eq!(ga.to_bits(), gb.to_bits());
-        }
-        assert_eq!(sa.candidates.len(), sb.candidates.len());
-        for (ca, cb) in sa.candidates.iter().zip(sb.candidates.iter()) {
-            assert_eq!(ca.key.feature, cb.key.feature);
-            assert_eq!(ca.key.value.to_bits(), cb.key.value.to_bits());
-            assert_eq!(ca.key.is_nominal, cb.key.is_nominal);
-            assert_eq!(ca.count, cb.count);
-            assert_eq!(ca.loss_sum.to_bits(), cb.loss_sum.to_bits());
-        }
-        match (arena_a.children(ia), arena_b.children(ib)) {
-            (None, None) => {}
-            (Some((la, ra)), Some((lb, rb))) => {
-                let (ka, kb) = (arena_a.split_key(ia), arena_b.split_key(ib));
-                assert_eq!(ka.feature, kb.feature);
-                assert_eq!(ka.value.to_bits(), kb.value.to_bits());
-                assert_eq!(ka.is_nominal, kb.is_nominal);
-                stack.push((la, lb));
-                stack.push((ra, rb));
-            }
-            _ => panic!("tree structures diverged"),
-        }
-    }
-}
-
 fn eager_config(parallelism: Parallelism) -> DmtConfig {
     // The eager configuration (no AIC threshold) restructures aggressively,
     // so splits, replacements *and* prunes all fire within a run.
@@ -118,49 +62,11 @@ fn eager_config(parallelism: Parallelism) -> DmtConfig {
 }
 
 #[test]
-fn threaded_learning_is_bit_identical_through_splits_and_prunes() {
-    for &workers in &PINNED_WORKERS {
-        for &batch_size in &PINNED_BATCH_SIZES {
-            let schema = StreamSchema::numeric("parallel-step", 2, 2);
-            let mut threaded =
-                DynamicModelTree::new(schema.clone(), eager_config(Parallelism::Threads(workers)));
-            let mut reference = DynamicModelTree::new(schema, eager_config(Parallelism::Serial));
-            let mut grew = false;
-            let mut shrank = false;
-            let phase_len = rounds_per_phase(batch_size);
-            for round in 0..3 * phase_len {
-                let (xs, ys) = step_batch(round, round / phase_len, batch_size);
-                let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-                let nodes_before = threaded.num_inner_nodes();
-                let decision_threaded = threaded.learn_batch_traced(&rows, &ys);
-                // The serial side runs the *per-instance reference* routing,
-                // so this pin transitively covers gathered-vs-reference too.
-                let decision_serial = reference.learn_batch_reference(&rows, &ys);
-                assert_eq!(
-                    decision_threaded, decision_serial,
-                    "workers {workers}, batch {batch_size}, round {round}"
-                );
-                grew |= threaded.num_inner_nodes() > nodes_before;
-                shrank |= threaded.num_inner_nodes() < nodes_before;
-                threaded.arena().validate(threaded.root_id()).unwrap();
-            }
-            assert_trees_bit_identical(&threaded, &reference);
-            assert!(
-                grew,
-                "workers {workers}, batch {batch_size}: the stream never split"
-            );
-            assert!(
-                shrank,
-                "workers {workers}, batch {batch_size}: no prune/replace fired"
-            );
-        }
-    }
-}
-
-#[test]
 fn threaded_predictions_match_serial_predictions() {
-    // Train two identical trees (one threaded, one serial) and compare both
-    // the batched and the per-instance predictions on a held-out batch.
+    // Train two identical trees (one pooled, one serial): learning is serial
+    // either way, so their snapshots agree byte for byte; then compare both
+    // the batched (pool-chunked) and the per-instance predictions on a
+    // held-out batch.
     let schema = StreamSchema::numeric("parallel-predict", 2, 2);
     let mut threaded = DynamicModelTree::new(schema.clone(), eager_config(Parallelism::Threads(2)));
     let mut serial = DynamicModelTree::new(schema, eager_config(Parallelism::Serial));
@@ -170,7 +76,12 @@ fn threaded_predictions_match_serial_predictions() {
         threaded.learn_batch(&rows, &ys);
         serial.learn_batch(&rows, &ys);
     }
-    let (xs, _) = step_batch(999, 0, 64);
+    assert_eq!(threaded.to_snapshot_bytes(), serial.to_snapshot_bytes());
+    assert!(
+        threaded.worker_pool().is_some(),
+        "no pool, chunking untested"
+    );
+    let (xs, _) = step_batch(999, 0, PREDICT_PARALLEL_THRESHOLD);
     let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
     let a = threaded.predict_batch(&rows);
     let b = serial.predict_batch(&rows);
@@ -188,41 +99,14 @@ fn threaded_predictions_match_serial_predictions() {
 }
 
 #[test]
-fn oversubscribed_workers_on_a_tiny_tree_are_harmless() {
-    // Eight workers against a tree that barely grows: most tasks are empty
-    // or leaves, which must neither panic nor change any result.
-    let schema = StreamSchema::numeric("parallel-tiny", 3, 2);
-    let mut threaded = DynamicModelTree::new(schema.clone(), eager_config(Parallelism::Threads(8)));
-    let mut serial = DynamicModelTree::new(schema, eager_config(Parallelism::Serial));
-    for round in 0..150 {
-        let xs: Vec<Vec<f64>> = (0..5)
-            .map(|i| {
-                let t = ((i * 3 + round * 7) % 31) as f64 / 31.0;
-                vec![t, 1.0 - t, 0.5]
-            })
-            .collect();
-        let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.6)).collect();
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        let a = threaded.learn_batch_traced(&rows, &ys);
-        let b = serial.learn_batch_traced(&rows, &ys);
-        assert_eq!(a, b, "round {round}");
-        threaded.arena().validate(threaded.root_id()).unwrap();
-    }
-    assert_trees_bit_identical(&threaded, &serial);
-}
-
-#[test]
 fn pooled_chunked_predictions_are_bit_identical() {
-    // Force every batch over the parallel-predict threshold so the pool's
-    // chunked dispatch runs even at batch size 1, and pin it against the
-    // per-instance descent for workers 1/2/4 × batches 1/7/64/2048.
+    // Pin the pool's chunked dispatch (batches at or over the threshold,
+    // including uneven chunk sizes) and the serial path below it against the
+    // per-instance descent for workers 1/2/4.
+    let t = PREDICT_PARALLEL_THRESHOLD;
     for &workers in &PINNED_WORKERS {
         let schema = StreamSchema::numeric("pooled-predict", 2, 2);
-        let config = DmtConfig {
-            predict_parallel_threshold: 1,
-            ..eager_config(Parallelism::Threads(workers))
-        };
-        let mut tree = DynamicModelTree::new(schema, config);
+        let mut tree = DynamicModelTree::new(schema, eager_config(Parallelism::Threads(workers)));
         for round in 0..150 {
             let (xs, ys) = step_batch(round, round / 75, 64);
             let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
@@ -232,7 +116,7 @@ fn pooled_chunked_predictions_are_bit_identical() {
             tree.num_inner_nodes() > 0,
             "workers {workers}: the stream never split, chunked routing untested"
         );
-        for &batch_size in &[1usize, 7, 64, 2048] {
+        for &batch_size in &[1usize, 7, 64, t, t + 7, 2048] {
             let (xs, _) = step_batch(7_777, 0, batch_size);
             let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
             let mut out = vec![0usize; rows.len()];
@@ -255,17 +139,13 @@ fn concurrent_shared_tree_predictions_are_safe_and_identical() {
     // panic nor contend on a shared buffer. Four threads predict the same
     // batches simultaneously; all must match the serial answer bit-for-bit.
     let schema = StreamSchema::numeric("concurrent-predict", 2, 2);
-    let config = DmtConfig {
-        predict_parallel_threshold: 1,
-        ..eager_config(Parallelism::Threads(2))
-    };
-    let mut tree = DynamicModelTree::new(schema, config);
+    let mut tree = DynamicModelTree::new(schema, eager_config(Parallelism::Threads(2)));
     for round in 0..150 {
         let (xs, ys) = step_batch(round, round / 75, 64);
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         tree.learn_batch(&rows, &ys);
     }
-    let (xs, _) = step_batch(4_242, 1, 512);
+    let (xs, _) = step_batch(4_242, 1, PREDICT_PARALLEL_THRESHOLD);
     let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
     let mut expected = vec![0usize; rows.len()];
     tree.predict_batch_into(&rows, &mut expected);
@@ -394,7 +274,7 @@ fn models_share_one_worker_pool() {
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         tree.learn_batch(&rows, &ys);
     }
-    let pool = Arc::clone(tree.worker_pool().expect("parallel learn created the pool"));
+    let pool = Arc::clone(tree.worker_pool().expect("pooled tree created the pool"));
 
     let bagging_config = |parallelism| LeveragingBaggingConfig {
         adwin_delta: 0.4,
@@ -443,62 +323,6 @@ fn models_share_one_worker_pool() {
 }
 
 #[test]
-fn pooled_worker_cycles_never_leak_arena_slots() {
-    // Repeated detach→split→prune→attach churn through the pooled worker
-    // arenas, pinned against a serial twin on the identical stream:
-    //
-    // * `validate` must never find an orphaned, doubly owned or
-    //   free-but-reachable slot after any pooled batch;
-    // * every slot stays accounted for (`slots == live + free`);
-    // * the pooled arena's capacity must track the serial twin's — if
-    //   detach/attach dropped slots instead of free-listing them, or
-    //   re-grafting bypassed the free-list-first allocator, the pooled
-    //   arena would outgrow the serial one batch after batch.
-    let schema = StreamSchema::numeric("arena-cycles", 2, 2);
-    let mut pooled = DynamicModelTree::new(schema.clone(), eager_config(Parallelism::Threads(4)));
-    let mut serial = DynamicModelTree::new(schema, eager_config(Parallelism::Serial));
-    let rounds_per_phase = 150usize;
-    let mut shrank = false;
-    for cycle in 0..2 {
-        for phase in 0..3 {
-            for round in 0..rounds_per_phase {
-                let step = cycle * 3 * rounds_per_phase + phase * rounds_per_phase + round;
-                let (xs, ys) = step_batch(step, phase, 48);
-                let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-                let nodes_before = pooled.num_inner_nodes();
-                pooled.learn_batch(&rows, &ys);
-                serial.learn_batch(&rows, &ys);
-                shrank |= pooled.num_inner_nodes() < nodes_before;
-                pooled
-                    .arena()
-                    .validate(pooled.root_id())
-                    .unwrap_or_else(|e| panic!("cycle {cycle}, phase {phase}, round {round}: {e}"));
-                let (slots, free) = (pooled.arena().num_slots(), pooled.arena().num_free());
-                let live = pooled.arena().live_count(pooled.root_id());
-                assert_eq!(
-                    slots,
-                    live + free,
-                    "cycle {cycle}, phase {phase}, round {round}: \
-                     {slots} slots ≠ {live} live + {free} free"
-                );
-            }
-        }
-    }
-    assert!(
-        shrank,
-        "the stream never pruned/replaced — the detach→prune→attach cycle went unexercised"
-    );
-    // Structure is bit-identical (pinned elsewhere), so capacity parity is
-    // the leak detector: allow only a small constant of transient slack.
-    let (pooled_slots, serial_slots) = (pooled.arena().num_slots(), serial.arena().num_slots());
-    assert!(
-        pooled_slots <= serial_slots + 16,
-        "pooled arena capacity ({pooled_slots} slots) outgrew the serial twin \
-         ({serial_slots} slots) — detach/attach is leaking slots"
-    );
-}
-
-#[test]
 fn parallelism_parse_covers_the_env_edge_cases() {
     // The satellite contract for `DMT_PARALLELISM`: unset, empty, zero, one,
     // garbage and huge values must all resolve safely (the parser is pure —
@@ -524,31 +348,4 @@ fn parallelism_parse_covers_the_env_edge_cases() {
     let huge = Parallelism::parse(Some("1000000"));
     assert_eq!(huge, Parallelism::Threads(1_000_000));
     assert_eq!(huge.workers(), dmt::core::MAX_WORKERS);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn threaded_and_serial_learning_agree_on_random_streams(
-        workers in 2usize..5,
-        batches in proptest::collection::vec(
-            proptest::collection::vec((proptest::collection::vec(0.0f64..1.0, 2), 0usize..2), 1..65),
-            1..5,
-        ),
-    ) {
-        let schema = StreamSchema::numeric("parallel-prop", 2, 2);
-        let mut threaded =
-            DynamicModelTree::new(schema.clone(), eager_config(Parallelism::Threads(workers)));
-        let mut serial = DynamicModelTree::new(schema, eager_config(Parallelism::Serial));
-        for batch in &batches {
-            let (xs, ys): (Vec<Vec<f64>>, Vec<usize>) = batch.iter().cloned().unzip();
-            let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-            let a = threaded.learn_batch_traced(&rows, &ys);
-            let b = serial.learn_batch_traced(&rows, &ys);
-            prop_assert_eq!(a, b);
-            prop_assert!(threaded.arena().validate(threaded.root_id()).is_ok());
-        }
-        assert_trees_bit_identical(&threaded, &serial);
-    }
 }

@@ -553,9 +553,9 @@ proptest! {
         }
         // Budget enforcement (compaction included) must leave the snapshot
         // codec bit-stable: save → load → save is the identity on bytes, and
-        // the restored tree predicts bit-identically. This holds even when
-        // `DMT_PARALLELISM` overrides the effective parallelism on load —
-        // the pre-override setting is persisted and written back out.
+        // the restored tree predicts bit-identically. This holds under every
+        // `DMT_PARALLELISM` value: snapshots do not store the host-local
+        // parallelism.
         let bytes = tree.to_snapshot_bytes();
         let restored = DynamicModelTree::from_snapshot_bytes(&bytes).expect("snapshot restores");
         let second = restored.to_snapshot_bytes();

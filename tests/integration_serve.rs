@@ -300,8 +300,8 @@ fn concurrent_predicts_are_bit_identical_to_published_epochs() {
 /// The same reader barrage with the fleet byte pool armed small enough that
 /// the budget ladder's rungs fire mid-run. Ground truth here cannot be a
 /// lockstep twin — budget enforcement keys off `memory_bytes()`, which
-/// legitimately differs between pooled and serial trees (worker scratch is
-/// accounted) — so the writer fingerprints each epoch right after
+/// legitimately differs between pooled and serial trees (pool-chunked
+/// prediction keeps one accounted scratch per executor) — so the writer fingerprints each epoch right after
 /// publishing it: the writer is the sole learner, so the current epoch at
 /// that instant *is* the one just published. Readers must observe exactly
 /// those fingerprints, proving epoch snapshots stay immutable while the

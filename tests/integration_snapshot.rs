@@ -2,10 +2,12 @@
 //!
 //! * save→load→predict/learn is **bit-identical** to the uninterrupted model,
 //!   pinned at batch sizes 1/7/64 for both the serial and the pooled build,
-//!   through streams that force splits, replacements *and* prunes;
+//!   through streams that force splits, replacements *and* prunes, and
+//!   save→load→save is the identity on bytes under every `DMT_PARALLELISM`
+//!   value (snapshots do not store the host-local parallelism);
 //! * the restored arena preserves the structural bookkeeping (slot count,
-//!   free list, live count, `validate`) across random split/prune/drift/
-//!   parallel-learn histories (proptest);
+//!   free list, live count, `validate`) across random split/prune/drift
+//!   histories (proptest);
 //! * a fixed-seed corruption fuzz (byte flips, truncations, splices) over
 //!   valid snapshots: every corrupted buffer loads as a typed `Err` — zero
 //!   panics across the whole suite;
@@ -136,10 +138,10 @@ fn snapshot_round_trip_is_bit_identical_at_pinned_sizes() {
             let mut restored = DynamicModelTree::from_snapshot_bytes(&bytes)
                 .unwrap_or_else(|e| panic!("{context}: load failed: {e}"));
 
-            // save → load → save is the identity on bytes, even when a
-            // `DMT_PARALLELISM` override steered the restore (the CI
+            // save → load → save is the identity on bytes whatever
+            // `DMT_PARALLELISM` the restoring process runs under (the CI
             // cross-check does exactly that): worker threads are a host
-            // property, and the persisted parallelism survives the override.
+            // property that snapshots do not store.
             assert_eq!(
                 bytes,
                 restored.to_snapshot_bytes(),
@@ -161,18 +163,12 @@ fn snapshot_round_trip_is_bit_identical_at_pinned_sizes() {
             restored.arena().validate(restored.root_id()).unwrap();
             assert_predictions_bit_identical(&original, &restored, &context);
             // After continued learning, re-serialising both must agree byte
-            // for byte — unless `DMT_PARALLELISM` overrode the restored
-            // parallelism: the trees stay semantically bit-identical
-            // (pinned above), but workers allocate in private arenas, so a
-            // different worker count may permute arena slot numbering and
-            // with it the serialised slot order.
-            if std::env::var_os("DMT_PARALLELISM").is_none() {
-                assert_eq!(
-                    original.to_snapshot_bytes(),
-                    restored.to_snapshot_bytes(),
-                    "{context}: re-serialised snapshots diverged"
-                );
-            }
+            // for byte.
+            assert_eq!(
+                original.to_snapshot_bytes(),
+                restored.to_snapshot_bytes(),
+                "{context}: re-serialised snapshots diverged"
+            );
         }
     }
 }
@@ -375,9 +371,9 @@ fn worker_pool_survives_injected_job_panics() {
 
 #[test]
 fn tree_stays_valid_and_snapshottable_after_a_pool_panic() {
-    // Train pooled, inject a panic through the tree's own pool, then keep
-    // learning on the same pool: the tree must stay bit-identical to a
-    // serial twin and still snapshot/restore cleanly.
+    // Train a pooled tree, inject a panic through its own pool, then keep
+    // learning and predicting with the same pool: the tree must stay
+    // bit-identical to a serial twin and still snapshot/restore cleanly.
     let schema = StreamSchema::numeric("pool-fault", 2, 2);
     let mut pooled = DynamicModelTree::new(schema.clone(), eager_config(Parallelism::Threads(2)));
     let mut serial = DynamicModelTree::new(schema, eager_config(Parallelism::Serial));
@@ -387,7 +383,7 @@ fn tree_stays_valid_and_snapshottable_after_a_pool_panic() {
         pooled.learn_batch(&rows, &ys);
         serial.learn_batch(&rows, &ys);
     }
-    let pool = std::sync::Arc::clone(pooled.worker_pool().expect("pooled learn created the pool"));
+    let pool = std::sync::Arc::clone(pooled.worker_pool().expect("pooled tree created the pool"));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         pool.run(vec![0usize; 16], |i, _| {
             if i % 5 == 3 {
@@ -405,6 +401,7 @@ fn tree_stays_valid_and_snapshottable_after_a_pool_panic() {
     }
     pooled.arena().validate(pooled.root_id()).unwrap();
     assert_predictions_bit_identical(&pooled, &serial, "after pool panic");
+    assert_eq!(pooled.to_snapshot_bytes(), serial.to_snapshot_bytes());
 
     let restored = DynamicModelTree::from_snapshot_bytes(&pooled.to_snapshot_bytes()).unwrap();
     assert_predictions_bit_identical(&pooled, &restored, "snapshot after pool panic");
@@ -413,8 +410,8 @@ fn tree_stays_valid_and_snapshottable_after_a_pool_panic() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random split/prune/drift/parallel-learn histories: snapshotting at an
-    /// arbitrary point preserves the arena bookkeeping and the learning
+    /// Random split/prune/drift histories, serial and pooled: snapshotting at
+    /// an arbitrary point preserves the arena bookkeeping and the learning
     /// trajectory bit for bit.
     #[test]
     fn snapshot_round_trips_across_random_histories(
@@ -463,5 +460,6 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+        prop_assert_eq!(tree.to_snapshot_bytes(), restored.to_snapshot_bytes());
     }
 }
