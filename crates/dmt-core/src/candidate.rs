@@ -104,9 +104,10 @@ impl SplitCandidate {
     ///
     /// This is the *reference* per-row accumulation — the definition of which
     /// rows a candidate owns. The tree's hot path does **not** call it; it
-    /// uses the per-feature passes in `dmt_core::node` (sorted prefix sums
-    /// for numeric candidates, per-category buckets for nominal ones), which
-    /// select the same row set (pinned by tests) while touching each
+    /// uses the per-feature passes in `dmt_core::node` (prefix sums over the
+    /// column segments presorted once per batch for numeric candidates,
+    /// per-category buckets over batch-dictionary ids for nominal ones),
+    /// which select the same row set (pinned by tests) while touching each
     /// gradient row once per feature instead of once per candidate.
     pub fn accumulate_batch(&mut self, xs: MatRef<'_>, losses: &[f64], grads: MatRef<'_>) {
         debug_assert_eq!(xs.rows(), losses.len());
@@ -191,9 +192,9 @@ pub fn propose_from_batch_indexed(
 ///
 /// This is the *standalone* form of the §V-D proposal rules. The tree's hot
 /// path does **not** call it: `dmt_core::node` fuses proposal generation
-/// into its combined per-feature accumulation pass (reusing the column sort
-/// / category buckets it needs anyway) and is pinned by tests to produce
-/// exactly the keys this function produces.
+/// into its combined per-feature accumulation pass (reusing the presorted
+/// column segment / category buckets it needs anyway) and is pinned by
+/// tests to produce exactly the keys this function produces.
 pub fn propose_from_rows(
     xs: MatRef<'_>,
     nominal_features: &[bool],

@@ -5,9 +5,8 @@
 //! module owns the per-node payload ([`NodeStats`]) and the crate-internal
 //! recursive batch learning procedure (`learn_at`) that walks the arena by
 //! [`NodeId`], routing each node's sub-batch with the same stable in-place
-//! index partition the batched prediction pass uses.
-
-use std::collections::HashMap;
+//! index partition the batched prediction pass uses and handing each child
+//! its segments of the batch's presorted feature columns.
 
 use dmt_models::linalg::{self, MatMut, MatRef};
 use dmt_models::memory::{slice_deep_bytes, vec_bytes};
@@ -15,16 +14,10 @@ use dmt_models::{Glm, MemoryUsage, SimpleModel as _};
 
 use crate::arena::{NodeArena, NodeId};
 use crate::candidate::{CandidateKey, SplitCandidate};
-use crate::scratch::UpdateScratch;
+use crate::scratch::{
+    numeric_sort_key, BatchColumns, Buckets, Column, UpdateScratch, NO_SLOT, ROUTE_RIGHT,
+};
 use crate::tree::DmtConfig;
-
-/// Maximum number of distinct category codes per nominal column for which
-/// the bucket pass resolves codes by linearly scanning the dense key vector.
-/// Beyond this the remaining rows of the batch resolve through a pooled
-/// hashed index instead: declared low-cardinality columns keep the scan's
-/// cache-friendly O(categories) probe, while an id-like column (~unique
-/// values per row) stays O(batch) instead of degrading to O(batch²).
-pub(crate) const NOMINAL_LINEAR_SCAN_MAX: usize = 16;
 
 /// The structural decision taken at a node after a batch (exposed for tests,
 /// ablations and interpretability traces).
@@ -238,6 +231,25 @@ impl NodeStats {
     /// reusable `scratch` buffers — the steady-state path performs no heap
     /// allocation per instance.
     ///
+    /// Presorts the sub-batch's own feature columns (numeric columns sorted,
+    /// nominal codes resolved to batch-dictionary ids) and runs the same node
+    /// update the tree runs on the column segments its nodes inherit.
+    pub fn update_with_batch_indexed(
+        &mut self,
+        xs: &[&[f64]],
+        ys: &[usize],
+        idx: &[usize],
+        nominal_features: &[bool],
+        config: &DmtConfig,
+        scratch: &mut UpdateScratch,
+    ) {
+        scratch.columns.presort(xs, idx, nominal_features);
+        self.update_presorted(xs, ys, idx, 0, config, scratch);
+    }
+
+    /// The node update over the rows `idx`, whose column segments start at
+    /// offset `lo` of the batch columns presorted in `scratch`.
+    ///
     /// The routed sub-batch is gathered into the scratch space's contiguous
     /// row-major matrix once; a single batched model pass then produces every
     /// per-row loss and gradient (one enum dispatch per node instead of one
@@ -245,12 +257,12 @@ impl NodeStats {
     /// shared gradient buffer, and the final SGD sweep runs through
     /// [`dmt_models::SimpleModel::learn_batch_into`] in the configured
     /// [`dmt_models::BatchMode`].
-    pub fn update_with_batch_indexed(
+    fn update_presorted(
         &mut self,
         xs: &[&[f64]],
         ys: &[usize],
         idx: &[usize],
-        nominal_features: &[bool],
+        lo: usize,
         config: &DmtConfig,
         scratch: &mut UpdateScratch,
     ) {
@@ -272,16 +284,12 @@ impl NodeStats {
             values_buf,
             xbuf,
             ybuf,
-            sort_pairs,
+            columns,
             boundaries,
             acc_buf,
             proposals_buf,
             retired,
-            bucket_keys,
-            bucket_losses,
-            bucket_counts,
-            bucket_grads,
-            bucket_lookup,
+            buckets,
             ..
         } = scratch;
         let xmat = MatRef::new(xbuf, b, m);
@@ -305,13 +313,14 @@ impl NodeStats {
 
         // Candidate proposal (§V-D) and accumulation (lines 6–10) in ONE
         // combined pass per feature, fed from the batched gradient buffer of
-        // the model pass above: numeric features sort their column once by
-        // order-preserving bit key and serve both the quantile proposals and
-        // a boundary sweep that hands every candidate its left-prefix sums;
-        // nominal features build per-category bucket accumulators that serve
-        // both the distinct-code proposals and the candidate sums. Proposal
-        // `SplitCandidate`s are recycled through the `retired` pool, so the
-        // whole pass is allocation-free in steady state.
+        // the model pass above: numeric features read the node's presorted
+        // column segment, which serves both the quantile proposals and a
+        // boundary sweep that hands every candidate its left-prefix sums;
+        // nominal features build per-category bucket accumulators from the
+        // node's dictionary-id segment that serve both the distinct-code
+        // proposals and the candidate sums. Proposal `SplitCandidate`s are
+        // recycled through the `retired` pool, so the whole pass is
+        // allocation-free in steady state.
         proposals_buf.clear();
         Self::propose_and_accumulate(
             &mut self.candidates,
@@ -319,18 +328,14 @@ impl NodeStats {
             retired,
             k,
             xmat,
-            nominal_features,
+            columns,
+            lo,
             losses,
             gradmat,
             values_buf,
-            sort_pairs,
             boundaries,
             acc_buf,
-            bucket_keys,
-            bucket_losses,
-            bucket_counts,
-            bucket_grads,
-            bucket_lookup,
+            buckets,
         );
 
         // Refresh the stored candidates' gain estimates. Borrowing the
@@ -362,28 +367,6 @@ impl NodeStats {
         );
     }
 
-    /// Order-preserving `u64` key of an `f64` feature value: the sort over
-    /// these keys is a branchless integer sort with the same value order as
-    /// `partial_cmp` on finite floats. `-0.0` is normalised onto `+0.0`
-    /// (they compare equal as floats), and every NaN — regardless of sign
-    /// bit — maps to `u64::MAX`, past `+inf`. Split thresholds are always
-    /// finite (proposals drop non-finite values), so the boundary search
-    /// `t(v) <= t(threshold)` selects exactly the rows with `v <= threshold`
-    /// — the arithmetic of [`CandidateKey::test_value`], which NaN rows
-    /// never pass.
-    #[inline]
-    fn numeric_sort_key(v: f64) -> u64 {
-        if v.is_nan() {
-            return u64::MAX;
-        }
-        let bits = (v + 0.0).to_bits();
-        if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | 0x8000_0000_0000_0000
-        }
-    }
-
     /// Pop a recycled candidate for `key` from the `retired` pool (reusing
     /// its gradient allocation) or build a fresh one.
     fn recycled_candidate(
@@ -412,28 +395,26 @@ impl NodeStats {
     }
 
     /// Combined per-feature proposal + accumulation pass over the batched
-    /// loss/gradient buffers, appending fresh proposals to `proposals`:
+    /// loss/gradient buffers, appending fresh proposals to `proposals`. The
+    /// node's rows own the segments `lo..lo + b` of the batch `columns`:
     ///
-    /// * **Numeric features**: the column is sorted once by
-    ///   [`Self::numeric_sort_key`]; the 25 %/50 %/75 % order statistics of
-    ///   that order become the proposals (§V-D, same values a full sort or
-    ///   O(n) selection picks), and one *boundary sweep* walks the sorted
-    ///   rows with a running loss/gradient accumulator, handing every
-    ///   candidate its left-prefix sums the moment the sweep crosses its
-    ///   threshold — no prefix arrays are materialised and the sweep stops
-    ///   at the last boundary.
+    /// * **Numeric features**: the segment lists the node's rows sorted by
+    ///   [`numeric_sort_key`] (sorted once per batch at the root and
+    ///   inherited through every routing partition, never sorted per node);
+    ///   the 25 %/50 %/75 % order statistics of that order become the
+    ///   proposals (§V-D, same values a full sort or O(n) selection picks),
+    ///   and one *boundary sweep* walks the sorted rows with a running
+    ///   loss/gradient accumulator, handing every candidate its left-prefix
+    ///   sums the moment the sweep crosses its threshold — no prefix arrays
+    ///   are materialised and the sweep stops at the last boundary.
     /// * **Nominal features**: per-category bucket accumulators — one scan
-    ///   assigns every row's loss/gradient to its category's bucket
-    ///   (categories matched by exact bit pattern), the sorted distinct
-    ///   codes become the proposals, and each equality candidate sums the
-    ///   buckets passing its [`CandidateKey::test_value`] tolerance.
-    ///   O(batch · categories) index work instead of the former
-    ///   O(batch log batch) float sort with an O(batch · k) prefix build —
-    ///   the Agrawal hot spot. Codes resolve by a linear scan up to
-    ///   [`NOMINAL_LINEAR_SCAN_MAX`] distinct values (the declared
-    ///   low-cardinality regime) and through a pooled hashed index beyond
-    ///   it, so even an id-like column with ~unique values stays O(batch)
-    ///   per feature instead of degrading to O(batch²).
+    ///   over the segment's batch-dictionary ids assigns every row's
+    ///   loss/gradient to its category's bucket through a first-seen slot
+    ///   table (ids were resolved once per batch, by exact bit pattern), the
+    ///   sorted distinct codes become the proposals, and each equality
+    ///   candidate sums the buckets passing its [`CandidateKey::test_value`]
+    ///   tolerance. O(rows + categories · candidates) per feature at any
+    ///   cardinality.
     ///
     /// Both paths select the identical row set as a per-row scan with
     /// [`CandidateKey::goes_left`] (pinned by tests); only the floating-point
@@ -446,18 +427,14 @@ impl NodeStats {
         retired: &mut Vec<SplitCandidate>,
         k: usize,
         xs: MatRef<'_>,
-        nominal_features: &[bool],
+        columns: &BatchColumns,
+        lo: usize,
         losses: &[f64],
         grads: MatRef<'_>,
         values_buf: &mut Vec<f64>,
-        sort_pairs: &mut Vec<(u64, u32)>,
         boundaries: &mut Vec<(u32, u32)>,
         acc_buf: &mut Vec<f64>,
-        bucket_keys: &mut Vec<f64>,
-        bucket_losses: &mut Vec<f64>,
-        bucket_counts: &mut Vec<u64>,
-        bucket_grads: &mut Vec<f64>,
-        bucket_lookup: &mut HashMap<u64, u32>,
+        buckets: &mut Buckets,
     ) {
         /// Tag bit marking a boundary that belongs to the proposal list.
         const PROPOSAL_TAG: u32 = 1 << 31;
@@ -465,157 +442,163 @@ impl NodeStats {
         let m = xs.cols();
         let data = xs.as_slice();
         let cmp_f64 = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
-        for feature in 0..m {
+        for (feature, &kind) in columns.kinds.iter().enumerate() {
             let proposal_start = proposals.len();
-            if nominal_features.get(feature).copied().unwrap_or(false) {
-                // Bucket pass: one accumulator per distinct category code in
-                // the batch, filled in row order. Categories are matched by
-                // exact bit pattern (NaNs bucket together and never pass a
-                // candidate's test), so a candidate owning a single category
-                // accumulates in the exact order of the per-row reference.
-                bucket_keys.clear();
-                bucket_losses.clear();
-                bucket_counts.clear();
-                bucket_grads.clear();
-                bucket_lookup.clear();
-                for r in 0..b {
-                    let v = data[r * m + feature];
-                    let bits = v.to_bits();
-                    // Codes resolve by a linear scan while the column looks
-                    // low-cardinality; past NOMINAL_LINEAR_SCAN_MAX distinct
-                    // codes the remaining rows go through the pooled hashed
-                    // index (lazily topped up from the key vector, which the
-                    // map always covers as an insertion-ordered prefix). The
-                    // map is only looked up, never iterated, so the switch
-                    // cannot change any accumulated value.
-                    let existing = if bucket_lookup.is_empty()
-                        && bucket_keys.len() <= NOMINAL_LINEAR_SCAN_MAX
-                    {
-                        bucket_keys.iter().position(|u| u.to_bits() == bits)
-                    } else {
-                        if bucket_lookup.len() < bucket_keys.len() {
-                            for (j, key) in bucket_keys.iter().enumerate().skip(bucket_lookup.len())
-                            {
-                                bucket_lookup.insert(key.to_bits(), j as u32);
-                            }
-                        }
-                        bucket_lookup.get(&bits).map(|&j| j as usize)
-                    };
-                    let j = match existing {
-                        Some(j) => j,
-                        None => {
-                            bucket_keys.push(v);
+            match kind {
+                Column::Nominal(c) => {
+                    // Bucket pass: one accumulator per distinct category of
+                    // the node, created at its first row and filled in row
+                    // order (NaNs bucket by bit pattern and never pass a
+                    // candidate's test), so a candidate owning a single
+                    // category accumulates in the exact order of the per-row
+                    // reference.
+                    let Buckets {
+                        ids,
+                        losses: bucket_losses,
+                        counts,
+                        grads: bucket_grads,
+                        slot_of_id,
+                    } = &mut *buckets;
+                    ids.clear();
+                    bucket_losses.clear();
+                    counts.clear();
+                    bucket_grads.clear();
+                    if slot_of_id.len() < columns.codes.len() {
+                        slot_of_id.resize(columns.codes.len(), NO_SLOT);
+                    }
+                    for (r, &id) in columns.nominal_segment(c, lo, b).iter().enumerate() {
+                        let slot = &mut slot_of_id[id as usize];
+                        if *slot == NO_SLOT {
+                            *slot = ids.len() as u32;
+                            ids.push(id);
                             bucket_losses.push(0.0);
-                            bucket_counts.push(0);
-                            bucket_grads.resize(bucket_keys.len() * k, 0.0);
-                            bucket_keys.len() - 1
+                            counts.push(0);
+                            bucket_grads.resize(ids.len() * k, 0.0);
                         }
-                    };
-                    bucket_losses[j] += losses[r];
-                    bucket_counts[j] += 1;
-                    let row = grads.row(r);
-                    let out = &mut bucket_grads[j * k..(j + 1) * k];
-                    for (o, &g) in out.iter_mut().zip(row.iter()) {
-                        *o += g;
+                        let j = *slot as usize;
+                        bucket_losses[j] += losses[r];
+                        counts[j] += 1;
+                        let row = grads.row(r);
+                        let out = &mut bucket_grads[j * k..(j + 1) * k];
+                        for (o, &g) in out.iter_mut().zip(row.iter()) {
+                            *o += g;
+                        }
+                    }
+                    for &id in ids.iter() {
+                        slot_of_id[id as usize] = NO_SLOT;
+                    }
+                    // Proposals: every distinct category code seen in the batch
+                    // (§V-D), sorted with the same tolerance dedup the full-sort
+                    // path produced.
+                    values_buf.clear();
+                    values_buf.extend(ids.iter().map(|&id| columns.codes[id as usize]));
+                    values_buf.sort_by(cmp_f64);
+                    values_buf.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+                    values_buf.retain(|v| v.is_finite());
+                    for &value in values_buf.iter() {
+                        let key = CandidateKey {
+                            feature,
+                            value,
+                            is_nominal: true,
+                        };
+                        if !Self::already_stored(candidates, proposals, &key) {
+                            proposals.push(Self::recycled_candidate(retired, key, k));
+                        }
+                    }
+                    for candidate in candidates
+                        .iter_mut()
+                        .filter(|c| c.key.feature == feature)
+                        .chain(proposals[proposal_start..].iter_mut())
+                    {
+                        Self::add_bucket_stats(candidate, buckets, &columns.codes, k);
                     }
                 }
-                // Proposals: every distinct category code seen in the batch
-                // (§V-D), sorted with the same tolerance dedup the full-sort
-                // path produced.
-                values_buf.clear();
-                values_buf.extend_from_slice(bucket_keys);
-                values_buf.sort_by(cmp_f64);
-                values_buf.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-                values_buf.retain(|v| v.is_finite());
-                for &value in values_buf.iter() {
-                    let key = CandidateKey {
-                        feature,
-                        value,
-                        is_nominal: true,
-                    };
-                    if !Self::already_stored(candidates, proposals, &key) {
-                        proposals.push(Self::recycled_candidate(retired, key, k));
+                Column::Numeric(c) => {
+                    // The node's rows sorted by this feature column (NaNs
+                    // sort past +inf and are never proposed as split values).
+                    let sorted = columns.numeric_segment(c, lo, b);
+                    // Proposals: the 25 %/50 %/75 % order statistics of the
+                    // batch (§V-D), with the quantile-path dedup tolerances.
+                    let value_at = |i: usize| data[sorted[i].1 as usize * m + feature];
+                    values_buf.clear();
+                    values_buf.extend([
+                        value_at(b / 4),
+                        value_at(b / 2),
+                        value_at((3 * b / 4).min(b - 1)),
+                    ]);
+                    values_buf.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+                    values_buf.retain(|v| v.is_finite());
+                    for &value in values_buf.iter() {
+                        let key = CandidateKey {
+                            feature,
+                            value,
+                            is_nominal: false,
+                        };
+                        if !Self::already_stored(candidates, proposals, &key) {
+                            proposals.push(Self::recycled_candidate(retired, key, k));
+                        }
                     }
-                }
-                for candidate in candidates
-                    .iter_mut()
-                    .filter(|c| c.key.feature == feature)
-                    .chain(proposals[proposal_start..].iter_mut())
-                {
-                    Self::add_bucket_stats(
-                        candidate,
-                        bucket_keys,
-                        bucket_losses,
-                        bucket_counts,
-                        bucket_grads,
-                        k,
-                    );
-                }
-            } else {
-                // Row order sorted by this feature column (deterministic:
-                // `sort_unstable` over integer keys has no randomness; NaNs
-                // sort past +inf and are never proposed as split values).
-                sort_pairs.clear();
-                sort_pairs.extend(
-                    (0..b).map(|r| (Self::numeric_sort_key(data[r * m + feature]), r as u32)),
-                );
-                sort_pairs.sort_unstable();
-                // Proposals: the 25 %/50 %/75 % order statistics of the batch
-                // (§V-D), with the quantile-path dedup tolerances.
-                let value_at = |i: usize| data[sort_pairs[i].1 as usize * m + feature];
-                values_buf.clear();
-                values_buf.extend([
-                    value_at(b / 4),
-                    value_at(b / 2),
-                    value_at((3 * b / 4).min(b - 1)),
-                ]);
-                values_buf.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-                values_buf.retain(|v| v.is_finite());
-                for &value in values_buf.iter() {
-                    let key = CandidateKey {
-                        feature,
-                        value,
-                        is_nominal: false,
-                    };
-                    if !Self::already_stored(candidates, proposals, &key) {
-                        proposals.push(Self::recycled_candidate(retired, key, k));
+                    // Boundary sweep: every candidate's left subset is the
+                    // sorted prefix up to its threshold. Collect the prefix
+                    // lengths, then walk the sorted rows once with a running
+                    // accumulator, emitting at each boundary; the bound uses
+                    // exactly the arithmetic of `test_value`, so the selected
+                    // row set matches per-row routing bit-for-bit.
+                    boundaries.clear();
+                    for (ci, candidate) in candidates
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, c)| c.key.feature == feature)
+                    {
+                        let threshold = numeric_sort_key(candidate.key.value);
+                        let hi = sorted.partition_point(|&(key, _)| key <= threshold);
+                        if hi > 0 {
+                            boundaries.push((hi as u32, ci as u32));
+                        }
                     }
-                }
-                // Boundary sweep: every candidate's left subset is the sorted
-                // prefix up to its threshold. Collect the prefix lengths,
-                // then walk the sorted rows once with a running accumulator,
-                // emitting at each boundary; the bound uses exactly the
-                // arithmetic of `test_value`, so the selected row set matches
-                // per-row routing bit-for-bit.
-                boundaries.clear();
-                for (ci, candidate) in candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.key.feature == feature)
-                {
-                    let threshold = Self::numeric_sort_key(candidate.key.value);
-                    let hi = sort_pairs.partition_point(|&(key, _)| key <= threshold);
-                    if hi > 0 {
-                        boundaries.push((hi as u32, ci as u32));
+                    for (pi, proposal) in proposals[proposal_start..].iter().enumerate() {
+                        let threshold = numeric_sort_key(proposal.key.value);
+                        let hi = sorted.partition_point(|&(key, _)| key <= threshold);
+                        if hi > 0 {
+                            boundaries
+                                .push((hi as u32, (proposal_start + pi) as u32 | PROPOSAL_TAG));
+                        }
                     }
-                }
-                for (pi, proposal) in proposals[proposal_start..].iter().enumerate() {
-                    let threshold = Self::numeric_sort_key(proposal.key.value);
-                    let hi = sort_pairs.partition_point(|&(key, _)| key <= threshold);
-                    if hi > 0 {
-                        boundaries.push((hi as u32, (proposal_start + pi) as u32 | PROPOSAL_TAG));
+                    if boundaries.is_empty() {
+                        continue;
                     }
-                }
-                if boundaries.is_empty() {
-                    continue;
-                }
-                boundaries.sort_unstable();
-                acc_buf.clear();
-                acc_buf.resize(k, 0.0);
-                let mut acc_loss = 0.0;
-                let mut next = 0usize;
-                for (pos, &(_, row_index)) in sort_pairs.iter().enumerate() {
-                    while next < boundaries.len() && boundaries[next].0 as usize == pos {
+                    boundaries.sort_unstable();
+                    acc_buf.clear();
+                    acc_buf.resize(k, 0.0);
+                    let mut acc_loss = 0.0;
+                    let mut next = 0usize;
+                    for (pos, &(_, row_index)) in sorted.iter().enumerate() {
+                        while next < boundaries.len() && boundaries[next].0 as usize == pos {
+                            let (hi, tag) = boundaries[next];
+                            let target = if tag & PROPOSAL_TAG != 0 {
+                                &mut proposals[(tag & !PROPOSAL_TAG) as usize]
+                            } else {
+                                &mut candidates[tag as usize]
+                            };
+                            target.loss_sum += acc_loss;
+                            target.count += hi as u64;
+                            for (g, &a) in target.grad_sum.iter_mut().zip(acc_buf.iter()) {
+                                *g += a;
+                            }
+                            next += 1;
+                        }
+                        if next == boundaries.len() {
+                            break;
+                        }
+                        let r = row_index as usize;
+                        acc_loss += losses[r];
+                        let row = grads.row(r);
+                        for (a, &g) in acc_buf.iter_mut().zip(row.iter()) {
+                            *a += g;
+                        }
+                    }
+                    // Boundaries covering the whole batch emit after the sweep.
+                    while next < boundaries.len() {
                         let (hi, tag) = boundaries[next];
                         let target = if tag & PROPOSAL_TAG != 0 {
                             &mut proposals[(tag & !PROPOSAL_TAG) as usize]
@@ -629,30 +612,6 @@ impl NodeStats {
                         }
                         next += 1;
                     }
-                    if next == boundaries.len() {
-                        break;
-                    }
-                    let r = row_index as usize;
-                    acc_loss += losses[r];
-                    let row = grads.row(r);
-                    for (a, &g) in acc_buf.iter_mut().zip(row.iter()) {
-                        *a += g;
-                    }
-                }
-                // Boundaries covering the whole batch emit after the sweep.
-                while next < boundaries.len() {
-                    let (hi, tag) = boundaries[next];
-                    let target = if tag & PROPOSAL_TAG != 0 {
-                        &mut proposals[(tag & !PROPOSAL_TAG) as usize]
-                    } else {
-                        &mut candidates[tag as usize]
-                    };
-                    target.loss_sum += acc_loss;
-                    target.count += hi as u64;
-                    for (g, &a) in target.grad_sum.iter_mut().zip(acc_buf.iter()) {
-                        *g += a;
-                    }
-                    next += 1;
                 }
             }
         }
@@ -660,21 +619,20 @@ impl NodeStats {
 
     /// Add one batch's left-subset statistics to a *nominal* `candidate`
     /// from the per-category buckets: every bucket whose category code
-    /// passes [`CandidateKey::test_value`] contributes its sums.
+    /// (`codes` maps a bucket's dictionary id to it) passes
+    /// [`CandidateKey::test_value`] contributes its sums.
     fn add_bucket_stats(
         candidate: &mut SplitCandidate,
-        bucket_keys: &[f64],
-        bucket_losses: &[f64],
-        bucket_counts: &[u64],
-        bucket_grads: &[f64],
+        buckets: &Buckets,
+        codes: &[f64],
         k: usize,
     ) {
         debug_assert!(candidate.key.is_nominal, "numeric candidates use prefixes");
-        for (j, &code) in bucket_keys.iter().enumerate() {
-            if candidate.key.test_value(code) {
-                candidate.loss_sum += bucket_losses[j];
-                candidate.count += bucket_counts[j];
-                let g = &bucket_grads[j * k..(j + 1) * k];
+        for (j, &id) in buckets.ids.iter().enumerate() {
+            if candidate.key.test_value(codes[id as usize]) {
+                candidate.loss_sum += buckets.losses[j];
+                candidate.count += buckets.counts[j];
+                let g = &buckets.grads[j * k..(j + 1) * k];
                 for (a, &v) in candidate.grad_sum.iter_mut().zip(g.iter()) {
                     *a += v;
                 }
@@ -768,19 +726,23 @@ fn warm_started_children(
 /// Stable in-place partition of `idx` by the split key of the inner node
 /// whose sub-batch was just gathered into `scratch`: left-routed indices form
 /// the prefix (returned length), right-routed the suffix, both keeping their
-/// relative order. In [`Routing::Gathered`] mode the tested feature is read
-/// out of the contiguous matrix the node update just gathered (`xbuf` row
-/// `pos` is `xs[idx[pos]]`), avoiding one pointer chase per instance; the
+/// relative order. The node's column segments (offset `lo`) are partitioned
+/// the same way, reusing the routing flag of every row. In
+/// [`Routing::Gathered`] mode the tested feature is read out of the
+/// contiguous matrix the node update just gathered (`xbuf` row `pos` is
+/// `xs[idx[pos]]`), avoiding one pointer chase per instance; the
 /// [`Routing::PerInstance`] reference re-reads the original row pointers.
 fn partition_indices(
     key: &CandidateKey,
     xs: &[&[f64]],
     idx: &mut [usize],
+    lo: usize,
     scratch: &mut UpdateScratch,
     routing: Routing,
     num_features: usize,
 ) -> usize {
     scratch.partition_buf.clear();
+    scratch.columns.route.clear();
     let mut write = 0usize;
     for pos in 0..idx.len() {
         let i = idx[pos];
@@ -789,13 +751,17 @@ fn partition_indices(
             Routing::PerInstance => xs[i][key.feature],
         };
         if key.test_value(value) {
+            scratch.columns.route.push(write as u32);
             idx[write] = i;
             write += 1;
         } else {
+            let to = scratch.partition_buf.len() as u32 | ROUTE_RIGHT;
+            scratch.columns.route.push(to);
             scratch.partition_buf.push(i);
         }
     }
     idx[write..].copy_from_slice(&scratch.partition_buf);
+    scratch.columns.partition(lo, idx.len());
     write
 }
 
@@ -878,6 +844,10 @@ fn structural_check_inner(
 /// the structural checks of Algorithm 1 to the subtree below it. Returns the
 /// structural decision taken at `id` itself.
 ///
+/// `idx` starts at offset `lo` of the index vector the batch columns in
+/// `scratch` were presorted for (`BatchColumns::presort`), and the node
+/// reads its segments `lo..lo + idx.len()` of those columns.
+///
 /// Inner nodes (which keep full statistics and keep training their model —
 /// the key difference from FIMT-DD, §IV-D) route instances by stably
 /// partitioning `idx` in place: left-routed indices form the prefix,
@@ -899,7 +869,7 @@ pub(crate) fn learn_at(
     xs: &[&[f64]],
     ys: &[usize],
     idx: &mut [usize],
-    nominal_features: &[bool],
+    lo: usize,
     config: &DmtConfig,
     scratch: &mut UpdateScratch,
     routing: Routing,
@@ -908,9 +878,11 @@ pub(crate) fn learn_at(
     if idx.is_empty() {
         return GainDecision::Keep;
     }
+    #[cfg(debug_assertions)]
+    scratch.columns.assert_segments(xs, idx, lo);
     if arena.is_leaf(id) {
         let stats = arena.stats_mut(id);
-        stats.update_with_batch_indexed(xs, ys, idx, nominal_features, config, scratch);
+        stats.update_presorted(xs, ys, idx, lo, config, scratch);
         // Split check (gain (3) against the AIC threshold).
         if stats.count < config.min_observations_split || !allow_growth {
             return GainDecision::Keep;
@@ -944,22 +916,17 @@ pub(crate) fn learn_at(
         // sub-batch (DMT keeps training inner models, §IV-D). The node
         // update is independent of the children's, so doing it before
         // routing lets the children permute `idx` freely.
-        arena.stats_mut(id).update_with_batch_indexed(
-            xs,
-            ys,
-            idx,
-            nominal_features,
-            config,
-            scratch,
-        );
+        arena
+            .stats_mut(id)
+            .update_presorted(xs, ys, idx, lo, config, scratch);
 
         // Route the sub-batch to the children: stable in-place partition of
-        // the index slice (left prefix, right suffix) using the reusable
-        // holding pen. The pen is drained before the recursion, so child
-        // partitions can reuse it.
+        // the index slice and of the column segments (left prefix, right
+        // suffix) using the reusable holding pens. The pens are drained
+        // before the recursion, so child partitions can reuse them.
         let key = arena.split_key(id);
         let m = xs[idx[0]].len();
-        let write = partition_indices(&key, xs, idx, scratch, routing, m);
+        let write = partition_indices(&key, xs, idx, lo, scratch, routing, m);
 
         let (left, right) = arena.children(id).expect("inner node has children");
         let (left_idx, right_idx) = idx.split_at_mut(write);
@@ -969,7 +936,7 @@ pub(crate) fn learn_at(
             xs,
             ys,
             left_idx,
-            nominal_features,
+            lo,
             config,
             scratch,
             routing,
@@ -981,7 +948,7 @@ pub(crate) fn learn_at(
             xs,
             ys,
             right_idx,
-            nominal_features,
+            lo + write,
             config,
             scratch,
             routing,
@@ -1151,27 +1118,42 @@ mod tests {
     }
 
     #[test]
-    fn high_cardinality_nominal_columns_switch_to_the_hashed_lookup() {
-        // A nominal column with far more distinct codes than
-        // NOMINAL_LINEAR_SCAN_MAX exercises the hashed bucket index. The
-        // accumulated candidate statistics must stay bit-identical to the
-        // per-row reference (the hashed path only changes *how* a row finds
-        // its bucket, never what is accumulated or in which order).
+    fn high_cardinality_nominal_columns_bucket_through_the_batch_dictionary() {
+        // An id-like nominal column (~n/2 distinct codes) resolves through
+        // the batch dictionary: one id per distinct code, each node mapping
+        // ids to buckets through its slot table. The accumulated candidate
+        // statistics must stay bit-identical to the per-row reference (the
+        // dictionary only changes *how* a row finds its bucket, never what
+        // is accumulated or in which order).
         let cfg = config();
         let mut stats = NodeStats::new(Glm::new_random(2, 2, 23));
         let model_before = stats.model.clone();
-        let n = 8 * (NOMINAL_LINEAR_SCAN_MAX + 4);
+        let n = 160;
         let xs: Vec<Vec<f64>> = (0..n)
             .map(|i| {
-                // ~n/2 distinct codes — well past the linear-scan threshold —
-                // plus a numeric column carrying the label signal.
+                // ~n/2 distinct codes plus a numeric column carrying the
+                // label signal.
                 vec![(i % (n / 2)) as f64, ((i * 13) % n) as f64 / n as f64]
             })
             .collect();
         let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[1] > 0.5)).collect();
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        assert!(n / 2 > NOMINAL_LINEAR_SCAN_MAX);
-        stats.update_with_batch(&rows, &ys, &[true, false], &cfg);
+        let idx: Vec<usize> = (0..n).collect();
+        let mut scratch = UpdateScratch::new();
+        stats.update_with_batch_indexed(&rows, &ys, &idx, &[true, false], &cfg, &mut scratch);
+        assert_eq!(
+            scratch.columns.codes.len(),
+            n / 2,
+            "one dictionary id per code"
+        );
+        assert!(
+            scratch
+                .buckets
+                .slot_of_id
+                .iter()
+                .all(|&slot| slot == NO_SLOT),
+            "the slot table must be reset after the bucket pass"
+        );
         let nominal_candidates = stats.candidates.iter().filter(|c| c.key.is_nominal).count();
         assert!(nominal_candidates > 0, "no nominal candidates proposed");
         for candidate in stats.candidates.iter().filter(|c| c.key.is_nominal) {
@@ -1194,7 +1176,7 @@ mod tests {
             assert_eq!(
                 candidate.loss_sum.to_bits(),
                 loss_sum.to_bits(),
-                "hashed bucket lookup changed the accumulation: {:?}",
+                "the dictionary lookup changed the accumulation: {:?}",
                 candidate.key
             );
             for (a, b) in candidate.grad_sum.iter().zip(grad_sum.iter()) {
@@ -1204,19 +1186,22 @@ mod tests {
     }
 
     #[test]
-    fn hashed_and_linear_bucket_paths_agree_across_the_threshold() {
-        // Two separate nodes fed batches whose nominal cardinality sits just
-        // below and just above the threshold: both must reproduce the per-row
-        // candidate counts exactly (the regression guard for the O(batch²)
-        // id-like-column case named in the roadmap).
+    fn batch_dictionary_buckets_match_per_row_counts_at_low_and_high_cardinality() {
+        // Nodes fed batches whose nominal cardinality is low (15 codes) and
+        // id-like (64 codes): both must reproduce the per-row candidate
+        // counts exactly (the regression guard for the O(batch²) id-like
+        // column case), with one dictionary id per distinct code.
         let cfg = config();
-        for distinct in [NOMINAL_LINEAR_SCAN_MAX - 1, 4 * NOMINAL_LINEAR_SCAN_MAX] {
+        for distinct in [15, 64] {
             let mut stats = NodeStats::new(Glm::new_random(1, 2, 31));
             let n = distinct * 3;
             let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![(i % distinct) as f64]).collect();
             let ys: Vec<usize> = (0..n).map(|i| i % 2).collect();
             let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-            stats.update_with_batch(&rows, &ys, &[true], &cfg);
+            let idx: Vec<usize> = (0..n).collect();
+            let mut scratch = UpdateScratch::new();
+            stats.update_with_batch_indexed(&rows, &ys, &idx, &[true], &cfg, &mut scratch);
+            assert_eq!(scratch.columns.codes.len(), distinct);
             for candidate in &stats.candidates {
                 let expected = rows.iter().filter(|x| candidate.key.goes_left(x)).count() as u64;
                 assert_eq!(
@@ -1343,13 +1328,14 @@ mod tests {
             let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.75)).collect();
             let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
             let mut idx: Vec<usize> = (0..rows.len()).collect();
+            scratch.columns.presort(&rows, &idx, &[false]);
             if let GainDecision::Split { .. } = learn_at(
                 &mut arena,
                 root,
                 &rows,
                 &ys,
                 &mut idx,
-                &[false],
+                0,
                 &cfg,
                 &mut scratch,
                 Routing::Gathered,
@@ -1380,7 +1366,7 @@ mod tests {
                 &[],
                 &[],
                 &mut [],
-                &[false, false],
+                0,
                 &cfg,
                 &mut scratch,
                 Routing::Gathered,

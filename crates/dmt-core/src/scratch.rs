@@ -11,8 +11,6 @@
 //! mark) the learn/predict path performs **no** per-instance heap
 //! allocations.
 
-use std::collections::HashMap;
-
 use dmt_models::memory::{slice_deep_bytes, vec_bytes};
 use dmt_models::MemoryUsage;
 
@@ -50,10 +48,9 @@ pub struct UpdateScratch {
     pub(crate) xbuf: Vec<f64>,
     /// Labels of the gathered sub-batch, aligned with `xbuf` rows.
     pub(crate) ybuf: Vec<usize>,
-    /// `(order-preserving bit key, row)` pairs sorted by value (numeric
-    /// candidate pass); the `u64` keys make the sort a branchless integer
-    /// sort and keep the boundary searches free of indirect loads.
-    pub(crate) sort_pairs: Vec<(u64, u32)>,
+    /// The batch's presorted numeric columns and dictionary-coded nominal
+    /// columns, prepared once per batch and inherited down the tree.
+    pub(crate) columns: BatchColumns,
     /// `(prefix length, candidate tag)` boundaries of the numeric sweep,
     /// sorted by prefix length.
     pub(crate) boundaries: Vec<(u32, u32)>,
@@ -65,31 +62,15 @@ pub struct UpdateScratch {
     /// Retired candidates recycled by the next proposal round, so
     /// steady-state proposal generation never touches the allocator.
     pub(crate) retired: Vec<SplitCandidate>,
-    /// Distinct category codes of the nominal feature currently being
-    /// accumulated (bucket pass; one entry per category seen in the batch).
-    pub(crate) bucket_keys: Vec<f64>,
-    /// Per-category loss sums, aligned with `bucket_keys`.
-    pub(crate) bucket_losses: Vec<f64>,
-    /// Per-category observation counts, aligned with `bucket_keys`.
-    pub(crate) bucket_counts: Vec<u64>,
-    /// Per-category gradient sums, row-major (`categories × num_params`).
-    pub(crate) bucket_grads: Vec<f64>,
-    /// Category-code → bucket-index map used instead of the linear
-    /// `bucket_keys` scan once a nominal column exceeds the small-cardinality
-    /// threshold (`node::NOMINAL_LINEAR_SCAN_MAX`). Keys are the exact bit
-    /// patterns of the category codes; the map is only ever *looked up*, never
-    /// iterated, so its nondeterministic internal order cannot leak into any
-    /// result. Cleared per feature, capacity retained across batches.
-    pub(crate) bucket_lookup: HashMap<u64, u32>,
+    /// Per-category accumulators of the nominal feature currently being
+    /// accumulated.
+    pub(crate) buckets: Buckets,
 }
 
 impl MemoryUsage for UpdateScratch {
     /// Heap bytes retained by every reusable buffer, including the gradient
-    /// vectors owned by pooled proposal/retired candidates. `HashMap`
-    /// capacity is approximated as `capacity × (key + value + 1 metadata
-    /// byte)`, close enough for budget purposes.
+    /// vectors owned by pooled proposal/retired candidates.
     fn memory_bytes(&self) -> usize {
-        let map_entry = std::mem::size_of::<u64>() + std::mem::size_of::<u32>() + 1;
         vec_bytes(&self.losses)
             + vec_bytes(&self.grads)
             + vec_bytes(&self.grad_buf)
@@ -99,18 +80,14 @@ impl MemoryUsage for UpdateScratch {
             + vec_bytes(&self.values_buf)
             + vec_bytes(&self.xbuf)
             + vec_bytes(&self.ybuf)
-            + vec_bytes(&self.sort_pairs)
+            + self.columns.memory_bytes()
             + vec_bytes(&self.boundaries)
             + vec_bytes(&self.acc_buf)
             + vec_bytes(&self.proposals_buf)
             + slice_deep_bytes(&self.proposals_buf)
             + vec_bytes(&self.retired)
             + slice_deep_bytes(&self.retired)
-            + vec_bytes(&self.bucket_keys)
-            + vec_bytes(&self.bucket_losses)
-            + vec_bytes(&self.bucket_counts)
-            + vec_bytes(&self.bucket_grads)
-            + self.bucket_lookup.capacity() * map_entry
+            + self.buckets.memory_bytes()
     }
 }
 
@@ -144,6 +121,313 @@ impl UpdateScratch {
             self.xbuf.extend_from_slice(xs[i]);
             self.ybuf.push(ys[i]);
         }
+    }
+}
+
+/// Order-preserving `u64` key of an `f64` feature value: the sort over
+/// these keys is a branchless integer sort with the same value order as
+/// `partial_cmp` on finite floats. `-0.0` is normalised onto `+0.0`
+/// (they compare equal as floats), and every NaN — regardless of sign
+/// bit — maps to `u64::MAX`, past `+inf`. Split thresholds are always
+/// finite (proposals drop non-finite values), so the boundary search
+/// `t(v) <= t(threshold)` selects exactly the rows with `v <= threshold`
+/// — the arithmetic of [`crate::CandidateKey::test_value`], which NaN rows
+/// never pass.
+#[inline]
+pub(crate) fn numeric_sort_key(v: f64) -> u64 {
+    if v.is_nan() {
+        return u64::MAX;
+    }
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 0x8000_0000_0000_0000
+    }
+}
+
+/// Where a feature's column of the current batch lives in [`BatchColumns`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Column {
+    /// Index of the feature's presorted column.
+    Numeric(usize),
+    /// Index of the feature's dictionary-id column.
+    Nominal(usize),
+}
+
+/// Tag bit of a [`BatchColumns::route`] entry whose row goes right.
+pub(crate) const ROUTE_RIGHT: u32 = 1 << 31;
+
+/// The feature columns of one learn batch, built once at the root and
+/// inherited down the tree.
+///
+/// Every column holds one entry per batch row. A node whose index slice
+/// starts at offset `lo` of the root's index vector owns the segment
+/// `lo..lo + b` of every column, where `b` is its row count, and refers to
+/// its rows by *position* (`0..b`, the order of its index slice and of its
+/// gathered matrix):
+///
+/// * a **numeric** column holds `(numeric_sort_key(value), position)` pairs
+///   sorted ascending, so a node's segment is its rows sorted by value;
+/// * a **nominal** column holds, per position, the row's id in the batch
+///   dictionary, which maps every distinct category code (matched by exact
+///   bit pattern) to one id.
+///
+/// When an inner node stably partitions its index slice, [`Self::partition`]
+/// partitions every segment the same way, so both children receive sorted
+/// segments without sorting. The root's positions are its batch rows and
+/// every partition is stable, so a node's positions ascend with its batch
+/// rows: sorting by `(key, position)` is sorting by `(key, batch row)`.
+#[derive(Debug, Default)]
+pub(crate) struct BatchColumns {
+    /// The column of every feature, indexed by feature.
+    pub(crate) kinds: Vec<Column>,
+    /// Rows of the batch (the stride of `sorted` and `ids`).
+    rows: usize,
+    /// Numeric columns, column-major: column `c` is `c·rows..(c + 1)·rows`.
+    sorted: Vec<(u64, u32)>,
+    /// Nominal columns of dictionary ids, column-major like `sorted`.
+    ids: Vec<u32>,
+    /// The batch dictionary: category code of every id.
+    pub(crate) codes: Vec<f64>,
+    /// Routing of the node being partitioned, per position: the row's
+    /// position in its child, tagged with [`ROUTE_RIGHT`] for the right
+    /// child.
+    pub(crate) route: Vec<u32>,
+    /// Holding pen for right-routed entries (and the dictionary sort).
+    sorted_pen: Vec<(u64, u32)>,
+    /// Holding pen for right-routed ids.
+    ids_pen: Vec<u32>,
+}
+
+impl MemoryUsage for BatchColumns {
+    /// Heap bytes of the columns, the dictionary and the partition buffers.
+    fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.kinds)
+            + vec_bytes(&self.sorted)
+            + vec_bytes(&self.ids)
+            + vec_bytes(&self.codes)
+            + vec_bytes(&self.route)
+            + vec_bytes(&self.sorted_pen)
+            + vec_bytes(&self.ids_pen)
+    }
+}
+
+impl BatchColumns {
+    /// Build the columns of the batch selected by `idx` (position `p` is row
+    /// `xs[idx[p]]`): sort every numeric column once by
+    /// `(numeric_sort_key, position)` and code every nominal column against
+    /// the batch dictionary. Buffers keep their capacity across batches.
+    pub(crate) fn presort(&mut self, xs: &[&[f64]], idx: &[usize], nominal_features: &[bool]) {
+        let n = idx.len();
+        // Positions are stored as `u32` below the `ROUTE_RIGHT` tag bit.
+        assert!(
+            n < ROUTE_RIGHT as usize,
+            "a learn batch holds under 2^31 rows"
+        );
+        self.rows = n;
+        self.kinds.clear();
+        self.codes.clear();
+        let Some(&first) = idx.first() else {
+            self.sorted.clear();
+            self.ids.clear();
+            return;
+        };
+        let (mut numeric, mut nominal) = (0, 0);
+        for feature in 0..xs[first].len() {
+            if nominal_features.get(feature).copied().unwrap_or(false) {
+                self.kinds.push(Column::Nominal(nominal));
+                nominal += 1;
+            } else {
+                self.kinds.push(Column::Numeric(numeric));
+                numeric += 1;
+            }
+        }
+        self.sorted.resize(numeric * n, (0, 0));
+        self.ids.resize(nominal * n, 0);
+        for (feature, &kind) in self.kinds.iter().enumerate() {
+            match kind {
+                Column::Numeric(c) => {
+                    // Positions are unique, so the unstable integer sort
+                    // has exactly one result.
+                    let column = &mut self.sorted[c * n..(c + 1) * n];
+                    for (p, (entry, &i)) in column.iter_mut().zip(idx).enumerate() {
+                        *entry = (numeric_sort_key(xs[i][feature]), p as u32);
+                    }
+                    column.sort_unstable();
+                }
+                Column::Nominal(c) => {
+                    // Sort `(bits, position)` and give each run of equal
+                    // bits one dictionary id.
+                    let pairs = &mut self.sorted_pen;
+                    pairs.clear();
+                    pairs.extend(
+                        idx.iter()
+                            .enumerate()
+                            .map(|(p, &i)| (xs[i][feature].to_bits(), p as u32)),
+                    );
+                    pairs.sort_unstable();
+                    let column = &mut self.ids[c * n..(c + 1) * n];
+                    let mut previous = None;
+                    for &(bits, p) in pairs.iter() {
+                        if previous != Some(bits) {
+                            self.codes.push(f64::from_bits(bits));
+                            previous = Some(bits);
+                        }
+                        column[p as usize] = (self.codes.len() - 1) as u32;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The segment of numeric column `c` owned by the node at offset `lo`
+    /// with `b` rows: its `(key, position)` pairs in ascending order.
+    pub(crate) fn numeric_segment(&self, c: usize, lo: usize, b: usize) -> &[(u64, u32)] {
+        &self.sorted[c * self.rows + lo..][..b]
+    }
+
+    /// The segment of nominal column `c` owned by the node at offset `lo`
+    /// with `b` rows: the dictionary id of every position.
+    pub(crate) fn nominal_segment(&self, c: usize, lo: usize, b: usize) -> &[u32] {
+        &self.ids[c * self.rows + lo..][..b]
+    }
+
+    /// Stably partition every segment of the node at offset `lo` with `b`
+    /// rows by the routing in `route[..b]`: left-routed entries form the
+    /// prefix, right-routed the suffix, each keeping its relative order, and
+    /// numeric entries are renumbered to their child positions. This is the
+    /// partition the node applied to its index slice, so each child's
+    /// segments stay aligned with its slice (and numeric ones sorted).
+    pub(crate) fn partition(&mut self, lo: usize, b: usize) {
+        let Self {
+            rows,
+            sorted,
+            ids,
+            route,
+            sorted_pen,
+            ids_pen,
+            ..
+        } = self;
+        if b == 0 {
+            return;
+        }
+        for column in sorted.chunks_exact_mut(*rows) {
+            stable_partition(&mut column[lo..lo + b], sorted_pen, |_, (key, p)| {
+                let to = route[p as usize];
+                ((key, to & !ROUTE_RIGHT), to & ROUTE_RIGHT != 0)
+            });
+        }
+        for column in ids.chunks_exact_mut(*rows) {
+            stable_partition(&mut column[lo..lo + b], ids_pen, |p, id| {
+                (id, route[p] & ROUTE_RIGHT != 0)
+            });
+        }
+    }
+
+    /// Debug check of the invariant the inherited segments rest on, for the
+    /// node at offset `lo` whose rows are `idx`: `idx` is strictly
+    /// ascending, every numeric segment holds exactly the node's positions
+    /// sorted by `(key, batch row)` with the key of the row's value, and
+    /// every nominal segment holds the dictionary id of each row's code.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_segments(&self, xs: &[&[f64]], idx: &[usize], lo: usize) {
+        assert!(
+            idx.windows(2).all(|w| w[0] < w[1]),
+            "node rows are not strictly ascending"
+        );
+        let b = idx.len();
+        for (feature, &kind) in self.kinds.iter().enumerate() {
+            match kind {
+                Column::Numeric(c) => {
+                    let mut previous = None;
+                    for &(key, p) in self.numeric_segment(c, lo, b) {
+                        assert!(
+                            (p as usize) < b,
+                            "feature {feature}: position {p} outside a {b}-row node"
+                        );
+                        let row = idx[p as usize];
+                        assert_eq!(
+                            key,
+                            numeric_sort_key(xs[row][feature]),
+                            "feature {feature}: stale key for row {row}"
+                        );
+                        assert!(
+                            previous < Some((key, row)),
+                            "feature {feature}: segment not sorted by (key, row) at row {row}"
+                        );
+                        previous = Some((key, row));
+                    }
+                }
+                Column::Nominal(c) => {
+                    for (&id, &row) in self.nominal_segment(c, lo, b).iter().zip(idx) {
+                        assert_eq!(
+                            self.codes[id as usize].to_bits(),
+                            xs[row][feature].to_bits(),
+                            "feature {feature}: wrong dictionary id for row {row}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Stable in-place partition of `segment`: `place(i, entry)` returns the
+/// entry to keep for position `i` and whether it goes right. Left entries
+/// compact into the prefix, right ones collect in `pen` (grown to the
+/// segment length on demand) and then fill the suffix. Every step writes
+/// both outputs and advances one cursor, so the routing costs no branch:
+/// child routing is data-dependent and mispredicts a branch about half the
+/// time. The prefix write never overtakes the read position.
+fn stable_partition<T: Copy + Default>(
+    segment: &mut [T],
+    pen: &mut Vec<T>,
+    mut place: impl FnMut(usize, T) -> (T, bool),
+) {
+    let b = segment.len();
+    if pen.len() < b {
+        pen.resize(b, T::default());
+    }
+    let (mut left, mut right) = (0, 0);
+    for i in 0..b {
+        let (entry, goes_right) = place(i, segment[i]);
+        segment[left] = entry;
+        pen[right] = entry;
+        left += usize::from(!goes_right);
+        right += usize::from(goes_right);
+    }
+    segment[left..].copy_from_slice(&pen[..right]);
+}
+
+/// Sentinel of an unused [`Buckets::slot_of_id`] entry.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// Per-category accumulators of one nominal feature of one node: one bucket
+/// per distinct dictionary id among the node's rows, in first-seen order.
+#[derive(Debug, Default)]
+pub(crate) struct Buckets {
+    /// Dictionary id of every bucket.
+    pub(crate) ids: Vec<u32>,
+    /// Per-bucket loss sums.
+    pub(crate) losses: Vec<f64>,
+    /// Per-bucket observation counts.
+    pub(crate) counts: Vec<u64>,
+    /// Per-bucket gradient sums, row-major (`buckets × num_params`).
+    pub(crate) grads: Vec<f64>,
+    /// Bucket of every dictionary id, [`NO_SLOT`] for ids without one. Every
+    /// entry is back at [`NO_SLOT`] after each bucket pass.
+    pub(crate) slot_of_id: Vec<u32>,
+}
+
+impl MemoryUsage for Buckets {
+    /// Heap bytes of the accumulators and the slot table.
+    fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.ids)
+            + vec_bytes(&self.losses)
+            + vec_bytes(&self.counts)
+            + vec_bytes(&self.grads)
+            + vec_bytes(&self.slot_of_id)
     }
 }
 

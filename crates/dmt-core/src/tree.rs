@@ -448,6 +448,12 @@ impl DynamicModelTree {
         let mut indices = std::mem::take(&mut self.scratch.indices);
         indices.clear();
         indices.extend(0..xs.len());
+        // Sort every numeric column and resolve every nominal code once for
+        // the whole batch; each node inherits its segments of these columns
+        // through the routing partitions instead of re-sorting them.
+        self.scratch
+            .columns
+            .presort(xs, &indices, &self.nominal_features);
         let allow_growth = !self.growth_frozen;
         let decision = learn_at(
             &mut self.arena,
@@ -455,7 +461,7 @@ impl DynamicModelTree {
             xs,
             ys,
             &mut indices,
-            &self.nominal_features,
+            0,
             &self.config,
             &mut self.scratch,
             routing,

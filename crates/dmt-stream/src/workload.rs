@@ -264,8 +264,8 @@ fn synthesize_elec_like() -> String {
 /// Covertype-like recipe: per-class Gaussian centres over 10 numeric columns,
 /// 7 classes with covertype-style imbalance, one informative nominal column
 /// of cardinality 40 (soil type) and one weakly informative id-like column of
-/// cardinality 128 — past the tree's 16-bucket inline nominal fast path, so
-/// the pooled hash-bucket path is exercised by a *file* workload too.
+/// cardinality 128, so the tree's per-batch nominal dictionary and bucket
+/// pass see an id-like column from a *file* workload too.
 fn synthesize_forest_like() -> String {
     const N: usize = 20_000;
     const NUMERIC: usize = 10;

@@ -102,11 +102,15 @@ pub fn workspace_config() -> WorkspaceConfig {
                     "learn_batch_into",
                 ],
             ),
-            ("crates/dmt-core/src/scratch.rs", &["gather"]),
+            (
+                "crates/dmt-core/src/scratch.rs",
+                &["gather", "presort", "partition"],
+            ),
             (
                 "crates/dmt-core/src/node.rs",
                 &[
                     "update_with_batch_indexed",
+                    "update_presorted",
                     "propose_and_accumulate",
                     "add_bucket_stats",
                     "manage_candidate_pool",

@@ -644,6 +644,8 @@ mod tests { fn t() { z.unwrap(); } }
         let cfg = workspace_config();
         let src = "\
 fn gather(&mut self) { self.buf = xs.to_vec(); }
+fn presort(&mut self) { self.sorted.sort_unstable(); }
+fn partition(&mut self) { self.pen.clear(); }
 fn cold() -> Vec<f64> { ys.to_vec() }
 ";
         let f = parse("crates/dmt-core/src/scratch.rs", src);

@@ -1,5 +1,5 @@
-//! Fixture: an allocation inside the designated hot function `gather`
-//! → `hot-path-alloc`; the same call in a cold function is clean.
+//! Fixture: an allocation inside the hot function `gather` trips
+//! `hot-path-alloc`; cold `to_vec`, `presort` and `partition` stay clean.
 
 pub struct Scratch {
     buf: Vec<f64>,
@@ -12,5 +12,13 @@ impl Scratch {
 
     pub fn cold(&self, xs: &[f64]) -> Vec<f64> {
         xs.to_vec()
+    }
+
+    pub fn presort(&mut self) {
+        self.buf.sort_by(f64::total_cmp);
+    }
+
+    pub fn partition(&mut self) {
+        self.buf.clear();
     }
 }

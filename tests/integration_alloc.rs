@@ -55,6 +55,49 @@ fn make_batch(n: usize, offset: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
     (xs, ys)
 }
 
+/// A deterministic batch generator: `(rows, offset) → (xs, ys)`.
+type BatchFn = fn(usize, usize) -> (Vec<Vec<f64>>, Vec<usize>);
+
+/// Values of the duplicate-heavy column of [`make_mixed_batch`]: repeated
+/// values and both signed zeros.
+const DUPLICATES: [f64; 8] = [-1.0, -0.5, -0.0, 0.0, 0.0, 0.25, 0.25, 1.0];
+
+/// Schema of [`make_mixed_batch`]: numeric and nominal columns mixed, one
+/// nominal column wider than 16 codes.
+fn mixed_schema() -> StreamSchema {
+    use dmt::stream::schema::FeatureSpec;
+    StreamSchema::new(
+        "alloc-mixed",
+        vec![
+            FeatureSpec::numeric("dup"),
+            FeatureSpec::nominal("code", 24),
+            FeatureSpec::numeric("t"),
+            FeatureSpec::nominal("small", 3),
+        ],
+        2,
+    )
+}
+
+/// A deterministic mixed-feature batch whose XOR concept (the continuous
+/// column against the duplicate-heavy one) needs a tree of several levels,
+/// so inner nodes keep partitioning the column segments; the nominal
+/// columns are noise that every node still buckets.
+fn make_mixed_batch(n: usize, offset: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
+    let xs: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let dup = DUPLICATES[(i * 5 + offset) % 8];
+            let code = ((i * 7 + offset) % 24) as f64;
+            let t = ((i + offset) % 997) as f64 / 997.0;
+            vec![dup, code, t, (i % 3) as f64]
+        })
+        .collect();
+    let ys: Vec<usize> = xs
+        .iter()
+        .map(|x| usize::from((x[2] > 0.5) != (x[0] > 0.1)))
+        .collect();
+    (xs, ys)
+}
+
 #[test]
 fn steady_state_hot_path_is_allocation_free_per_instance() {
     // Both SGD traversals share the gather + batched-kernel plumbing; the
@@ -67,6 +110,7 @@ fn steady_state_hot_path_is_allocation_free_per_instance() {
     ] {
         steady_state_measurement(mode);
     }
+    mixed_stream_learn_measurement();
     parallel_learn_measurement();
     pooled_predict_measurement();
     ensemble_prediction_measurement();
@@ -335,6 +379,14 @@ fn ensemble_prediction_measurement() {
     }
 }
 
+/// The serial learn contract on the mixed numeric/nominal stream: a deep
+/// tree whose inner nodes partition presorted and dictionary-coded column
+/// segments every batch.
+fn mixed_stream_learn_measurement() {
+    let mut tree = DynamicModelTree::new(mixed_schema(), DmtConfig::default());
+    learn_measurement(&mut tree, make_mixed_batch, 8);
+}
+
 fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
     let schema = StreamSchema::numeric("alloc-probe", 3, 2);
     let config = DmtConfig {
@@ -342,21 +394,68 @@ fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
         ..DmtConfig::default()
     };
     let mut tree = DynamicModelTree::new(schema, config);
+    learn_measurement(&mut tree, make_batch, 1);
+    let (large_xs, _) = make_batch(800, 0);
+    let large_rows: Vec<&[f64]> = large_xs.iter().map(|v| v.as_slice()).collect();
 
+    // predict_batch: exactly one allocation for the result vector (plus
+    // nothing per instance). When the suite runs under DMT_PARALLELISM ≥ 2
+    // (the CI pool legs), the 800-row batch crosses the parallel-predict
+    // threshold and the pool dispatch adds its constant bookkeeping
+    // (items/queue/result vectors) — still nothing per instance.
+    let workers = dmt::core::Parallelism::from_env().workers() as u64;
+    let predict_budget = if workers >= 2 { 2 + 8 + workers } else { 2 };
+    // Warm the pooled scratches at this batch shape before measuring.
+    let _ = tree.predict_batch(&large_rows);
+    let before_predict = allocations();
+    let predictions = tree.predict_batch(&large_rows);
+    let predict_allocs = allocations() - before_predict;
+    assert_eq!(predictions.len(), large_rows.len());
+    assert!(
+        predict_allocs <= predict_budget,
+        "predict_batch should only allocate its result vector \
+         (+ pool dispatch bookkeeping when threaded), got {predict_allocs} \
+         (budget {predict_budget})"
+    );
+
+    // Single-instance predict is fully allocation-free.
+    let before_single = allocations();
+    let mut checksum = 0usize;
+    for row in &large_rows {
+        checksum += tree.predict(row);
+    }
+    let single_allocs = allocations() - before_single;
+    assert!(checksum <= large_rows.len());
+    assert_eq!(
+        single_allocs, 0,
+        "DynamicModelTree::predict must not allocate"
+    );
+}
+
+/// The steady-state learn contract on `tree` fed the stream `make`: after a
+/// warm-up that leaves a tree at least `min_depth` levels deep, learning
+/// performs no per-instance allocation.
+fn learn_measurement(tree: &mut DynamicModelTree, make: BatchFn, min_depth: usize) {
     // Pre-materialise all data so the measured region only runs the tree.
-    let (small_xs, small_ys) = make_batch(100, 0);
+    let (small_xs, small_ys) = make(100, 0);
     let small_rows: Vec<&[f64]> = small_xs.iter().map(|v| v.as_slice()).collect();
-    let (large_xs, large_ys) = make_batch(800, 0);
+    let (large_xs, large_ys) = make(800, 0);
     let large_rows: Vec<&[f64]> = large_xs.iter().map(|v| v.as_slice()).collect();
 
     // Warm-up: grow the scratch buffers to their high-water mark and let the
     // tree structure settle on this stationary concept.
     for round in 0..200 {
-        let (xs, ys) = make_batch(800, round * 800);
+        let (xs, ys) = make(800, round * 800);
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         tree.learn_batch(&rows, &ys);
     }
     let structure_before = (tree.num_inner_nodes(), tree.num_leaves());
+    assert!(
+        tree.depth() >= min_depth,
+        "{}: warmed-up tree has depth {}, below {min_depth}",
+        tree.schema().name,
+        tree.depth()
+    );
 
     // Measure: the same number of batches at 100 vs 800 instances. Repeated
     // identical batches propose no new candidates, so the remaining per-batch
@@ -401,38 +500,5 @@ fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
         per_batch <= 64.0 * node_count.max(1) as f64,
         "unexpectedly many allocations per learned batch: {per_batch:.1} \
          for a tree with {node_count} nodes"
-    );
-
-    // predict_batch: exactly one allocation for the result vector (plus
-    // nothing per instance). When the suite runs under DMT_PARALLELISM ≥ 2
-    // (the CI pool legs), the 800-row batch crosses the parallel-predict
-    // threshold and the pool dispatch adds its constant bookkeeping
-    // (items/queue/result vectors) — still nothing per instance.
-    let workers = dmt::core::Parallelism::from_env().workers() as u64;
-    let predict_budget = if workers >= 2 { 2 + 8 + workers } else { 2 };
-    // Warm the pooled scratches at this batch shape before measuring.
-    let _ = tree.predict_batch(&large_rows);
-    let before_predict = allocations();
-    let predictions = tree.predict_batch(&large_rows);
-    let predict_allocs = allocations() - before_predict;
-    assert_eq!(predictions.len(), large_rows.len());
-    assert!(
-        predict_allocs <= predict_budget,
-        "predict_batch should only allocate its result vector \
-         (+ pool dispatch bookkeeping when threaded), got {predict_allocs} \
-         (budget {predict_budget})"
-    );
-
-    // Single-instance predict is fully allocation-free.
-    let before_single = allocations();
-    let mut checksum = 0usize;
-    for row in &large_rows {
-        checksum += tree.predict(row);
-    }
-    let single_allocs = allocations() - before_single;
-    assert!(checksum <= large_rows.len());
-    assert_eq!(
-        single_allocs, 0,
-        "DynamicModelTree::predict must not allocate"
     );
 }

@@ -15,7 +15,11 @@
 //!   variants, and cross-model confusion (ensemble bytes into the tree
 //!   loader and vice versa) is rejected;
 //! * an injected job panic propagates out of `WorkerPool::run` but leaves
-//!   the pool dispatchable and the tree learnable, valid and snapshottable.
+//!   the pool dispatchable and the tree learnable, valid and snapshottable;
+//! * golden byte pins (`tests/fixtures/golden_*.dmtsnap`): deep trees
+//!   trained on mixed numeric/nominal streams (an Agrawal slice; a synthetic
+//!   stream with duplicates, signed zeros, a 24-code nominal column and NaN
+//!   rows) must retrain to the committed snapshot bytes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -462,4 +466,158 @@ proptest! {
         }
         prop_assert_eq!(tree.to_snapshot_bytes(), restored.to_snapshot_bytes());
     }
+}
+
+/// Configuration of the golden-fixture trees: eager splitting so a short
+/// stream grows a deep tree whose inner nodes keep routing sub-batches.
+fn golden_config() -> DmtConfig {
+    eager_config(Parallelism::Serial)
+}
+
+/// The tree behind `tests/fixtures/golden_agrawal.dmtsnap`: the first 2 000
+/// rows of the min-max normalised paper Agrawal stream (seed 1; three nominal
+/// columns, among them the 20-code `car`), learned in 100-row batches.
+fn golden_agrawal_tree() -> DynamicModelTree {
+    use dmt::stream::{catalog, DataStream};
+    let mut stream =
+        catalog::build_stream("Agrawal", 0.01, 1).expect("Agrawal is a catalog stream");
+    let schema = stream.schema().clone();
+    assert_eq!(schema.nominal_indices().len(), 3);
+    let mut tree = DynamicModelTree::new(schema, golden_config());
+    for _ in 0..20 {
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for _ in 0..100 {
+            let instance = stream.next_instance().expect("the slice fits the stream");
+            xs.push(instance.x);
+            ys.push(instance.y);
+        }
+        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        tree.learn_batch(&rows, &ys);
+    }
+    tree
+}
+
+/// Values of the duplicate-heavy numeric column of the synthetic golden
+/// stream: repeated values and both signed zeros.
+const GOLDEN_DUPLICATES: [f64; 8] = [-1.0, -0.5, -0.0, 0.0, 0.0, 0.25, 0.25, 1.0];
+
+/// One batch of the synthetic golden stream: a duplicate-heavy numeric
+/// column, a 24-code nominal column, a continuous numeric column and a
+/// nominal column whose codes include both signed zeros. The label is an
+/// XOR of the continuous column and the wide nominal column, so no single
+/// linear leaf fits it and the tree has to grow.
+fn golden_synthetic_batch(round: usize, n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
+    let xs: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let dup = GOLDEN_DUPLICATES[(i * 5 + round * 3) % 8];
+            let code = ((i * 7 + round) % 24) as f64;
+            let t = ((i * 31 + round * 17) % 101) as f64 / 101.0;
+            let zero_code = [-0.0, 0.0, 1.0][(i + round) % 3];
+            vec![dup, code, t, zero_code]
+        })
+        .collect();
+    let ys: Vec<usize> = xs
+        .iter()
+        .map(|x| usize::from(((x[2] > 0.55) != (x[1] < 9.0)) || x[0] >= 1.0))
+        .collect();
+    (xs, ys)
+}
+
+/// The tree behind `tests/fixtures/golden_synthetic.dmtsnap`: 40 batches of
+/// [`golden_synthetic_batch`].
+fn golden_synthetic_tree() -> DynamicModelTree {
+    use dmt::stream::schema::FeatureSpec;
+    let schema = StreamSchema::new(
+        "golden-synthetic",
+        vec![
+            FeatureSpec::numeric("dup"),
+            FeatureSpec::nominal("code", 24),
+            FeatureSpec::numeric("t"),
+            FeatureSpec::nominal("zero_code", 3),
+        ],
+        2,
+    );
+    let mut tree = DynamicModelTree::new(schema, golden_config());
+    for round in 0..40 {
+        let (xs, ys) = golden_synthetic_batch(round, 64);
+        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        tree.learn_batch(&rows, &ys);
+    }
+    tree
+}
+
+/// The tree behind `tests/fixtures/golden_synthetic_nan.dmtsnap`:
+/// [`golden_synthetic_tree`] plus one batch whose first two rows carry a NaN
+/// (one of each sign) in every column but the wide nominal one. The checked
+/// learn path rejects non-finite rows, so this batch goes through
+/// `learn_batch_traced`, which does not validate.
+fn golden_synthetic_nan_tree() -> DynamicModelTree {
+    let mut tree = golden_synthetic_tree();
+    let (mut xs, ys) = golden_synthetic_batch(40, 64);
+    let negative_nan = f64::NAN.copysign(-1.0);
+    for (row, nan) in [f64::NAN, negative_nan].into_iter().enumerate() {
+        for feature in [0, 2, 3] {
+            xs[row][feature] = nan;
+        }
+    }
+    let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+    tree.learn_batch_traced(&rows, &ys);
+    tree
+}
+
+/// Assert that `actual` equals `expected` byte for byte, except that a NaN
+/// may carry the other sign. Adding two NaNs returns one of the operands,
+/// and which one depends on the operand order the compiler picks, so the
+/// sign of a NaN accumulated from NaNs of both signs differs between debug
+/// and release builds. Every other bit is pinned.
+fn assert_bytes_equal_up_to_nan_signs(expected: &[u8], actual: &[u8], context: &str) {
+    assert_eq!(expected.len(), actual.len(), "{context}: length changed");
+    for i in 0..expected.len() {
+        if expected[i] == actual[i] {
+            continue;
+        }
+        // The sign bit is the top bit of an f64's last little-endian byte.
+        let nan_sign_only = i >= 7
+            && expected[i] ^ actual[i] == 0x80
+            && expected[i - 7..i] == actual[i - 7..i]
+            && f64::from_le_bytes(expected[i - 7..=i].try_into().unwrap()).is_nan();
+        assert!(nan_sign_only, "{context}: byte {i} changed");
+    }
+}
+
+#[test]
+fn mixed_feature_deep_trees_match_their_golden_snapshots() {
+    let agrawal = golden_agrawal_tree();
+    let synthetic = golden_synthetic_tree();
+    assert!(
+        agrawal.depth() >= 8,
+        "the Agrawal golden tree is too shallow"
+    );
+    assert!(
+        synthetic.depth() >= 8,
+        "the synthetic golden tree is too shallow"
+    );
+    assert!(
+        agrawal.to_snapshot_bytes() == include_bytes!("fixtures/golden_agrawal.dmtsnap"),
+        "the Agrawal golden tree changed"
+    );
+    assert!(
+        synthetic.to_snapshot_bytes() == include_bytes!("fixtures/golden_synthetic.dmtsnap"),
+        "the synthetic golden tree changed"
+    );
+    // The NaN-poisoned tree: its header CRC covers the NaN signs, so the
+    // envelope is compared through the payload.
+    let nan_bytes = golden_synthetic_nan_tree().to_snapshot_bytes();
+    let expected: &[u8] = include_bytes!("fixtures/golden_synthetic_nan.dmtsnap");
+    assert_eq!(
+        nan_bytes[..12],
+        expected[..12],
+        "envelope magic or version changed"
+    );
+    assert_bytes_equal_up_to_nan_signs(
+        open_payload(expected).unwrap(),
+        open_payload(&nan_bytes).unwrap(),
+        "NaN golden tree",
+    );
 }
