@@ -487,14 +487,21 @@ impl NodeStats {
                     for &id in ids.iter() {
                         slot_of_id[id as usize] = NO_SLOT;
                     }
-                    // Proposals: every distinct category code seen in the batch
-                    // (§V-D), sorted with the same tolerance dedup the full-sort
-                    // path produced.
+                    // Proposals: every distinct finite category code seen in
+                    // the batch (§V-D), sorted with the same tolerance dedup
+                    // the full-sort path produced. Non-finite codes go before
+                    // the sort: a NaN breaks `partial_cmp`'s total order, and
+                    // an infinity is never proposed anyway. (`partial_cmp`
+                    // rather than `total_cmp`: ±0.0 compare equal, so the
+                    // stable sort keeps whichever the node saw first.)
                     values_buf.clear();
-                    values_buf.extend(ids.iter().map(|&id| columns.codes[id as usize]));
+                    values_buf.extend(
+                        ids.iter()
+                            .map(|&id| columns.codes[id as usize])
+                            .filter(|v| v.is_finite()),
+                    );
                     values_buf.sort_by(cmp_f64);
                     values_buf.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-                    values_buf.retain(|v| v.is_finite());
                     for &value in values_buf.iter() {
                         let key = CandidateKey {
                             feature,
@@ -1237,6 +1244,73 @@ mod tests {
             );
             assert!(candidate.grad_sum.iter().all(|g| g.is_finite()));
         }
+    }
+
+    #[test]
+    fn nan_codes_in_a_wide_nominal_column_are_never_proposed() {
+        // 24 codes plus NaNs of both signs give 26 distinct values, past the
+        // sort's insertion-sort cutoff, where a NaN among the proposals used
+        // to break `partial_cmp`'s total order and panic. The first-seen code
+        // order matters (the sort notices the broken order only for some
+        // permutations), and `(7 i) mod 24` with NaNs in rows 0 and 5 trips it.
+        use dmt_stream::schema::{FeatureSpec, StreamSchema};
+        let batch = |round: usize, with_nans: bool| {
+            let mut xs: Vec<Vec<f64>> = (0..96)
+                .map(|i| {
+                    let t = ((i * 31 + round * 17) % 101) as f64 / 101.0;
+                    vec![((i * 7) % 24) as f64, t]
+                })
+                .collect();
+            if with_nans {
+                for (row, nan) in [(0, f64::NAN), (5, f64::NAN.copysign(-1.0))] {
+                    xs[row][0] = nan;
+                    xs[row + 48][0] = nan;
+                }
+            }
+            let ys: Vec<usize> = xs
+                .iter()
+                .map(|x| usize::from((x[0] < 12.0) != (x[1] > 0.5)))
+                .collect();
+            (xs, ys)
+        };
+        let cfg = DmtConfig {
+            use_aic_threshold: false,
+            min_observations_split: 40,
+            ..config()
+        };
+
+        let (xs, ys) = batch(0, true);
+        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        let mut stats = NodeStats::new(Glm::new_random(2, 2, 7));
+        stats.update_with_batch(&rows, &ys, &[true, false], &cfg);
+        let nominal: Vec<_> = stats
+            .candidates
+            .iter()
+            .filter(|c| c.key.is_nominal)
+            .collect();
+        assert!(!nominal.is_empty(), "no nominal candidate proposed");
+        for candidate in nominal {
+            assert!(candidate.key.value.is_finite(), "{:?}", candidate.key);
+            let expected = rows.iter().filter(|x| candidate.key.goes_left(x)).count() as u64;
+            assert_eq!(candidate.count, expected, "{:?}", candidate.key);
+        }
+
+        // The same NaN batch through a grown tree's unchecked learn path, so
+        // the root and the inner nodes below it all propose from it.
+        let schema = StreamSchema::new(
+            "nan-codes",
+            vec![FeatureSpec::nominal("code", 24), FeatureSpec::numeric("t")],
+            2,
+        );
+        let mut tree = crate::tree::DynamicModelTree::new(schema, cfg);
+        for round in 0..40 {
+            let (xs, ys) = batch(round, false);
+            let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+            tree.learn_batch_traced(&rows, &ys);
+        }
+        assert!(tree.depth() >= 1, "the tree never split");
+        tree.learn_batch_traced(&rows, &ys);
+        assert_eq!(tree.observations(), 41 * 96);
     }
 
     #[test]

@@ -479,7 +479,9 @@ impl DynamicModelTree {
             self.pool = Some(Arc::new(WorkerPool::new(workers)));
         }
         // Pre-grow the pooled prediction scratches for batches of this shape
-        // so the test-then-train loop's predictions are allocation-free.
+        // so the test-then-train loop's predictions are allocation-free: one
+        // per pool executor, because a pool-chunked prediction checks out
+        // one scratch per concurrently running chunk.
         // A poisoned pool is not fatal: a panic inside an earlier prediction
         // may have left a buffer half-prepared, so the pooled buffers (pure
         // caches) are discarded and rebuilt.
@@ -490,13 +492,12 @@ impl DynamicModelTree {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .clear();
         }
+        let executors = self.pool.as_ref().map_or(1, |pool| pool.executors());
         let scratches = self
             .predict_scratch
             .get_mut()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if scratches.is_empty() {
-            scratches.push(PredictScratch::new());
-        }
+        scratches.resize_with(scratches.len().max(executors), PredictScratch::new);
         for scratch in scratches.iter_mut() {
             scratch.prepare(
                 xs.len(),
@@ -1107,6 +1108,31 @@ mod tests {
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         tree.learn_batch(&rows, &ys);
         assert!(!tree.predict_scratch.is_poisoned());
+    }
+
+    #[test]
+    fn learning_pre_grows_one_predict_scratch_per_pool_executor() {
+        // A pool-chunked prediction checks out one scratch per concurrently
+        // running chunk. With fewer pre-grown scratches than executors, the
+        // first prediction whose chunks overlap builds a fresh one.
+        let config = DmtConfig {
+            use_aic_threshold: false,
+            parallelism: Parallelism::Threads(3),
+            ..DmtConfig::default()
+        };
+        let mut tree = DynamicModelTree::new(StreamSchema::numeric("step", 1, 2), config);
+        let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 40.0]).collect();
+        let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.75)).collect();
+        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        for _ in 0..400 {
+            tree.learn_batch(&rows, &ys);
+            if tree.pool.is_some() {
+                break;
+            }
+        }
+        let executors = tree.pool.as_ref().expect("the tree split").executors();
+        assert_eq!(executors, 3);
+        assert_eq!(tree.predict_scratch.lock().unwrap().len(), executors);
     }
 
     #[test]

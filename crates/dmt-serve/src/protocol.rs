@@ -39,7 +39,7 @@
 
 use std::io::{self, Read, Write};
 
-use dmt_core::snapshot::{self, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use dmt_core::snapshot::{self, EnvelopeHeader, SNAPSHOT_HEADER_LEN, SNAPSHOT_VERSION};
 use dmt_models::wire::{Reader, Writer};
 
 use crate::error::ServeError;
@@ -456,21 +456,24 @@ pub enum FrameIssue {
     /// forged length): the byte stream can no longer be framed. The server
     /// answers a typed error, then closes.
     Header(String),
-    /// The header was intact but the payload fails its CRC (or trailing
-    /// checks): exactly one frame was consumed, the stream is still framed,
-    /// the connection stays usable.
+    /// The header was intact but the payload fails its CRC: exactly one
+    /// frame was consumed, the stream is still framed, the connection stays
+    /// usable.
     Payload(String),
 }
 
-/// Write one sealed frame.
+/// Write one sealed frame with a single `write_all`, so a client on a raw
+/// `TCP_NODELAY` socket sends header and payload together rather than as two
+/// segments.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(&snapshot::seal_payload(payload))?;
     w.flush()
 }
 
-/// Read one sealed frame: header first (validated before any payload buffer
-/// is sized), then the payload, then the envelope checks of
-/// [`snapshot::open_payload`] over the assembled bytes.
+/// Read one sealed frame: the header first, decoded by
+/// [`EnvelopeHeader::decode`] and validated before any payload buffer is
+/// sized, then the payload straight into the returned buffer, whose CRC-32 is
+/// checked in place.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<FrameRead, FrameIssue> {
     let mut header = [0u8; SNAPSHOT_HEADER_LEN];
     // A clean EOF before any header byte is a closed connection, not an
@@ -489,30 +492,27 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<FrameRead, FrameIssue> {
             Err(e) => return Err(FrameIssue::Io(e)),
         }
     }
-    if header[..8] != SNAPSHOT_MAGIC {
-        return Err(FrameIssue::Header("bad frame magic".to_string()));
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 header bytes"));
-    if version != SNAPSHOT_VERSION {
+    let header = EnvelopeHeader::decode(&header)
+        .map_err(|_| FrameIssue::Header("bad frame magic".to_string()))?;
+    if header.version != SNAPSHOT_VERSION {
         return Err(FrameIssue::Header(format!(
-            "frame version {version}, this build speaks {SNAPSHOT_VERSION}"
+            "frame version {}, this build speaks {SNAPSHOT_VERSION}",
+            header.version
         )));
     }
-    let length = u64::from_le_bytes(header[16..24].try_into().expect("8 header bytes"));
-    let length = match usize::try_from(length) {
+    let length = match usize::try_from(header.length) {
         Ok(length) if length <= MAX_FRAME_LEN => length,
         _ => {
             return Err(FrameIssue::Header(format!(
-                "frame announces {length} payload bytes, limit is {MAX_FRAME_LEN}"
+                "frame announces {} payload bytes, limit is {MAX_FRAME_LEN}",
+                header.length
             )))
         }
     };
-    let mut frame = vec![0u8; SNAPSHOT_HEADER_LEN + length];
-    frame[..SNAPSHOT_HEADER_LEN].copy_from_slice(&header);
-    r.read_exact(&mut frame[SNAPSHOT_HEADER_LEN..])
-        .map_err(FrameIssue::Io)?;
-    match snapshot::open_payload(&frame) {
-        Ok(payload) => Ok(FrameRead::Payload(payload.to_vec())),
+    let mut payload = vec![0u8; length];
+    r.read_exact(&mut payload).map_err(FrameIssue::Io)?;
+    match header.verify(&payload) {
+        Ok(()) => Ok(FrameRead::Payload(payload)),
         Err(e) => Err(FrameIssue::Payload(e.to_string())),
     }
 }
@@ -683,5 +683,72 @@ mod tests {
             Err(FrameIssue::Io(_)) => {}
             other => panic!("expected Io issue, got {other:?}"),
         }
+    }
+
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, payload).expect("write");
+        buf
+    }
+
+    #[test]
+    fn every_single_payload_bit_flip_is_a_payload_issue_and_sync_survives() {
+        // A 100-row × 9-feature predict request: a 7 256-byte frame.
+        let data: Vec<f64> = (0..900).map(|i| (i as f64 * 0.37).sin()).collect();
+        let request = Request::Predict {
+            tenant: "agrawal".to_string(),
+            features: WireMatrix { cols: 9, data },
+        };
+        let payload = request.encode();
+        let mut stream = sealed(&payload);
+        assert_eq!(stream.len(), 7_256);
+        let next = sealed(
+            &Request::Stats {
+                tenant: "m".to_string(),
+            }
+            .encode(),
+        );
+        stream.extend_from_slice(&next);
+        // Miri runs this module too, so it flips a sparse sample of bits.
+        let step = if cfg!(miri) { 4_099 } else { 1 };
+        for bit in (SNAPSHOT_HEADER_LEN * 8..7_256 * 8).step_by(step) {
+            stream[bit / 8] ^= 1 << (bit % 8);
+            let mut cursor = io::Cursor::new(&stream[..]);
+            match read_frame(&mut cursor) {
+                Err(FrameIssue::Payload(_)) => {}
+                other => panic!("bit {bit}: expected Payload issue, got {other:?}"),
+            }
+            match read_frame(&mut cursor) {
+                Ok(FrameRead::Payload(read)) => assert_eq!(read, next[SNAPSHOT_HEADER_LEN..]),
+                other => panic!("bit {bit}: the next frame must still read, got {other:?}"),
+            }
+            stream[bit / 8] ^= 1 << (bit % 8);
+        }
+        let mut cursor = io::Cursor::new(&stream[..]);
+        match read_frame(&mut cursor) {
+            Ok(FrameRead::Payload(read)) => assert_eq!(read, payload),
+            other => panic!("the restored frame must read, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sealed_request_bytes_are_pinned() {
+        // Magic, version 3, CRC-32 0x7CE4C7EC (zlib's `crc32` agrees),
+        // length 58, then opcode 1, tenant "m", 2 columns and four f64s. The
+        // payload is three whole 16-byte CRC blocks plus a 10-byte tail.
+        const PINNED: [u8; 82] = [
+            0x44, 0x4D, 0x54, 0x53, 0x4E, 0x41, 0x50, 0x00, 0x03, 0x00, 0x00, 0x00, //
+            0xEC, 0xC7, 0xE4, 0x7C, 0x3A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+            0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6D, 0x02, 0x00, //
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, //
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, 0x00, 0x00, //
+            0x00, 0x00, 0x00, 0x00, 0xF0, 0xBF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+            0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F, //
+        ];
+        let request = Request::Predict {
+            tenant: "m".to_string(),
+            features: WireMatrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.25]]),
+        };
+        assert_eq!(sealed(&request.encode()), PINNED);
     }
 }

@@ -122,6 +122,7 @@ pub fn workspace_config() -> WorkspaceConfig {
                 "crates/dmt-core/src/candidate.rs",
                 &["accumulate", "accumulate_batch"],
             ),
+            ("crates/dmt-core/src/snapshot.rs", &["crc32"]),
         ],
         version_source_file: "crates/dmt-core/src/snapshot.rs",
         version_referrer_files: &[
