@@ -11,11 +11,10 @@
 //!
 //! The right-child statistics are never stored: they are the difference
 //! between the node statistics and the left-child statistics (Algorithm 1,
-//! note before line 4), which halves memory.
-
-use dmt_models::linalg::{self, MatRef};
-use dmt_models::memory::vec_bytes;
-use dmt_models::MemoryUsage;
+//! note before line 4), which halves memory. The left-child gradient sums of
+//! all of a node's candidates share one row-major matrix next to the
+//! candidate records, so a pool is two buffers however many candidates it
+//! holds.
 
 /// Identity of a split candidate: which feature is tested and against what.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,91 +54,33 @@ impl CandidateKey {
     }
 }
 
-/// A stored split candidate with its accumulated left-child statistics.
-#[derive(Debug, Clone)]
+/// A stored split candidate with its accumulated left-child loss and count.
+///
+/// The candidate's left-child gradient sum is not part of the record: the
+/// owner keeps the sums of all its candidates in one row-major matrix of
+/// `k` columns (`NodeStats::candidate_grads`), where row `i` belongs to
+/// candidate `i`.
+#[derive(Debug, Clone, Copy)]
 pub struct SplitCandidate {
     /// The feature–value combination this candidate tests.
     pub key: CandidateKey,
     /// Accumulated loss of the node model on the left subset.
     pub loss_sum: f64,
-    /// Accumulated gradient (w.r.t. the node parameters) on the left subset.
-    pub grad_sum: Vec<f64>,
     /// Number of observations routed left since the candidate was stored.
     pub count: u64,
     /// Most recent gain estimate (used for pool management / replacement).
     pub last_gain: f64,
 }
 
-impl MemoryUsage for SplitCandidate {
-    /// Heap bytes of the candidate's left-child gradient accumulator (the
-    /// only heap allocation a candidate owns).
-    fn memory_bytes(&self) -> usize {
-        vec_bytes(&self.grad_sum)
-    }
-}
-
 impl SplitCandidate {
-    /// Create an empty candidate for a node with `num_params` model
-    /// parameters.
-    pub fn new(key: CandidateKey, num_params: usize) -> Self {
+    /// An empty candidate for `key` (its gradient row starts at zero).
+    pub fn new(key: CandidateKey) -> Self {
         Self {
             key,
             loss_sum: 0.0,
-            grad_sum: vec![0.0; num_params],
             count: 0,
             last_gain: f64::NEG_INFINITY,
         }
-    }
-
-    /// Accumulate the loss/gradient of one left-routed observation.
-    pub fn accumulate(&mut self, loss: f64, grad: &[f64]) {
-        self.loss_sum += loss;
-        linalg::add_assign(&mut self.grad_sum, grad);
-        self.count += 1;
-    }
-
-    /// Accumulate every left-routed row of a gathered batch in row order:
-    /// `xs` holds the instances (row-major), `losses[i]`/`grads.row(i)` the
-    /// per-row loss and gradient from a batched model pass.
-    ///
-    /// This is the *reference* per-row accumulation — the definition of which
-    /// rows a candidate owns. The tree's hot path does **not** call it; it
-    /// uses the per-feature passes in `dmt_core::node` (prefix sums over the
-    /// column segments presorted once per batch for numeric candidates,
-    /// per-category buckets over batch-dictionary ids for nominal ones),
-    /// which select the same row set (pinned by tests) while touching each
-    /// gradient row once per feature instead of once per candidate.
-    pub fn accumulate_batch(&mut self, xs: MatRef<'_>, losses: &[f64], grads: MatRef<'_>) {
-        debug_assert_eq!(xs.rows(), losses.len());
-        debug_assert_eq!(xs.rows(), grads.rows());
-        let m = xs.cols();
-        let data = xs.as_slice();
-        for i in 0..xs.rows() {
-            if self.key.test_value(data[i * m + self.key.feature]) {
-                self.accumulate(losses[i], grads.row(i));
-            }
-        }
-    }
-
-    /// Reset the accumulated statistics (used after structural changes).
-    pub fn reset(&mut self) {
-        self.loss_sum = 0.0;
-        self.grad_sum.iter_mut().for_each(|g| *g = 0.0);
-        self.count = 0;
-        self.last_gain = f64::NEG_INFINITY;
-    }
-
-    /// Re-initialise a recycled candidate for a fresh key, reusing the
-    /// gradient buffer's allocation. The tree's proposal machinery keeps a
-    /// pool of retired candidates so steady-state proposal generation
-    /// performs no heap allocation.
-    pub fn reset_for(&mut self, key: CandidateKey, num_params: usize) {
-        self.key = key;
-        self.loss_sum = 0.0;
-        self.grad_sum.clear();
-        self.grad_sum.resize(num_params, 0.0);
-        self.count = 0;
-        self.last_gain = f64::NEG_INFINITY;
     }
 }
 
@@ -148,83 +89,46 @@ impl SplitCandidate {
 /// For numeric features the 25 %, 50 % and 75 % quantiles of the batch values
 /// are proposed; for nominal features every distinct value in the batch is
 /// proposed. Proposals already present in `existing` are skipped.
+///
+/// This is the *reference* form of the §V-D proposal rules. The tree's hot
+/// path does **not** call it: `dmt_core::node` fuses proposal generation
+/// into its combined per-feature accumulation pass (reusing the presorted
+/// column segment / category buckets it needs anyway) and is pinned by
+/// tests to produce exactly the keys this function produces.
 pub fn propose_from_batch(
     xs: &[&[f64]],
     nominal_features: &[bool],
     existing: &[SplitCandidate],
 ) -> Vec<CandidateKey> {
-    let idx: Vec<usize> = (0..xs.len()).collect();
+    let Some(first) = xs.first() else {
+        return Vec::new();
+    };
     let mut values = Vec::new();
-    propose_from_batch_indexed(xs, &idx, nominal_features, existing, &mut values)
-}
-
-/// [`propose_from_batch`] over the sub-batch selected by `idx`.
-///
-/// `values` is a reusable sort buffer provided by the caller (the tree passes
-/// its scratch space), so proposal generation itself allocates only for the
-/// proposals it returns.
-pub fn propose_from_batch_indexed(
-    xs: &[&[f64]],
-    idx: &[usize],
-    nominal_features: &[bool],
-    existing: &[SplitCandidate],
-    values: &mut Vec<f64>,
-) -> Vec<CandidateKey> {
-    if idx.is_empty() {
-        return Vec::new();
-    }
-    let m = xs[idx[0]].len();
-    let mut proposals = Vec::new();
-    #[allow(clippy::needless_range_loop)] // `feature` indexes a column across rows
-    for feature in 0..m {
+    let mut proposals: Vec<CandidateKey> = Vec::new();
+    for feature in 0..first.len() {
         values.clear();
-        values.extend(idx.iter().map(|&i| xs[i][feature]));
-        push_feature_proposals(values, feature, nominal_features, existing, &mut proposals);
-    }
-    proposals
-}
-
-/// [`propose_from_batch`] over a gathered, contiguous row-major batch:
-/// feature columns are read straight out of the matrix, the numeric
-/// quantiles come from an O(n) selection instead of a full sort, and nominal
-/// columns are reduced to their distinct category codes by one
-/// O(n · categories) scan before the (now tiny) proposal sort.
-///
-/// This is the *standalone* form of the §V-D proposal rules. The tree's hot
-/// path does **not** call it: `dmt_core::node` fuses proposal generation
-/// into its combined per-feature accumulation pass (reusing the presorted
-/// column segment / category buckets it needs anyway) and is pinned by
-/// tests to produce exactly the keys this function produces.
-pub fn propose_from_rows(
-    xs: MatRef<'_>,
-    nominal_features: &[bool],
-    existing: &[SplitCandidate],
-    values: &mut Vec<f64>,
-) -> Vec<CandidateKey> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let m = xs.cols();
-    let data = xs.as_slice();
-    let mut proposals = Vec::new();
-    for feature in 0..m {
-        values.clear();
-        if nominal_features.get(feature).copied().unwrap_or(false) {
-            // Distinct category codes (matched by exact bit pattern) in
-            // first-occurrence order; `push_feature_proposals` sorts and
-            // tolerance-dedups this handful of codes, producing exactly the
-            // keys the full-column sort produced.
-            for r in 0..xs.rows() {
-                let v = data[r * m + feature];
-                let bits = v.to_bits();
-                if !values.iter().any(|u| u.to_bits() == bits) {
-                    values.push(v);
-                }
-            }
+        values.extend(xs.iter().map(|x| x[feature]));
+        let is_nominal = nominal_features.get(feature).copied().unwrap_or(false);
+        if is_nominal {
+            values.sort_by(cmp_f64);
+            values.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
         } else {
-            values.extend((0..xs.rows()).map(|r| data[r * m + feature]));
+            keep_batch_quantiles(&mut values);
+            values.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
         }
-        push_feature_proposals(values, feature, nominal_features, existing, &mut proposals);
+        values.retain(|v| v.is_finite());
+        for &value in values.iter() {
+            let key = CandidateKey {
+                feature,
+                value,
+                is_nominal,
+            };
+            let already_stored = existing.iter().any(|c| c.key.same_as(&key))
+                || proposals.iter().any(|p| p.same_as(&key));
+            if !already_stored {
+                proposals.push(key);
+            }
+        }
     }
     proposals
 }
@@ -262,39 +166,6 @@ fn keep_batch_quantiles(values: &mut Vec<f64>) {
     };
     values.clear();
     values.extend([q1, q2, q3]);
-}
-
-/// Shared per-feature proposal step: reduce the raw column `values` to the
-/// candidate split values (distinct codes for nominal features, batch
-/// quantiles for numeric ones) and append the keys not already stored.
-fn push_feature_proposals(
-    values: &mut Vec<f64>,
-    feature: usize,
-    nominal_features: &[bool],
-    existing: &[SplitCandidate],
-    proposals: &mut Vec<CandidateKey>,
-) {
-    let is_nominal = nominal_features.get(feature).copied().unwrap_or(false);
-    if is_nominal {
-        values.sort_by(cmp_f64);
-        values.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-    } else {
-        keep_batch_quantiles(values);
-        values.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-    }
-    values.retain(|v| v.is_finite());
-    for &value in values.iter() {
-        let key = CandidateKey {
-            feature,
-            value,
-            is_nominal,
-        };
-        let already_stored = existing.iter().any(|c| c.key.same_as(&key))
-            || proposals.iter().any(|p: &CandidateKey| p.same_as(&key));
-        if !already_stored {
-            proposals.push(key);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -353,25 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_and_reset() {
-        let key = CandidateKey {
-            feature: 0,
-            value: 0.5,
-            is_nominal: false,
-        };
-        let mut cand = SplitCandidate::new(key, 3);
-        cand.accumulate(1.5, &[1.0, 0.0, -1.0]);
-        cand.accumulate(0.5, &[1.0, 2.0, 0.0]);
-        assert_eq!(cand.count, 2);
-        assert!((cand.loss_sum - 2.0).abs() < 1e-12);
-        assert_eq!(cand.grad_sum, vec![2.0, 2.0, -1.0]);
-        cand.reset();
-        assert_eq!(cand.count, 0);
-        assert_eq!(cand.loss_sum, 0.0);
-        assert_eq!(cand.grad_sum, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn proposals_cover_every_feature() {
         let xs: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![i as f64 / 40.0, (i % 4) as f64])
@@ -393,10 +245,8 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         let first = propose_from_batch(&rows, &[false], &[]);
-        let stored: Vec<SplitCandidate> = first
-            .iter()
-            .map(|&key| SplitCandidate::new(key, 2))
-            .collect();
+        let stored: Vec<SplitCandidate> =
+            first.iter().map(|&key| SplitCandidate::new(key)).collect();
         let second = propose_from_batch(&rows, &[false], &stored);
         assert!(
             second.is_empty(),
@@ -407,29 +257,6 @@ mod tests {
     #[test]
     fn empty_batch_proposes_nothing() {
         assert!(propose_from_batch(&[], &[false], &[]).is_empty());
-        let empty = MatRef::new(&[], 0, 0);
-        assert!(propose_from_rows(empty, &[false], &[], &mut Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn propose_from_rows_matches_scattered_proposals() {
-        // Mixed numeric + nominal batch, compared against the row-pointer
-        // variant: identical keys in identical order.
-        let xs: Vec<Vec<f64>> = (0..50)
-            .map(|i| vec![(i * 7 % 50) as f64 / 50.0, (i % 5) as f64, i as f64])
-            .collect();
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        let nominal = [false, true, false];
-        let scattered = propose_from_batch(&rows, &nominal, &[]);
-        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-        let mat = MatRef::new(&flat, 50, 3);
-        let contiguous = propose_from_rows(mat, &nominal, &[], &mut Vec::new());
-        assert_eq!(scattered.len(), contiguous.len());
-        for (a, b) in scattered.iter().zip(contiguous.iter()) {
-            assert_eq!(a.feature, b.feature);
-            assert_eq!(a.is_nominal, b.is_nominal);
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
     }
 
     #[test]
@@ -444,38 +271,6 @@ mod tests {
             for (a, b) in values.iter().zip(expected.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn accumulate_batch_matches_per_row_accumulation() {
-        let key = CandidateKey {
-            feature: 1,
-            value: 0.5,
-            is_nominal: false,
-        };
-        let flat: Vec<f64> = (0..20)
-            .flat_map(|i| [i as f64 / 20.0, ((i * 3) % 20) as f64 / 20.0])
-            .collect();
-        let xs = MatRef::new(&flat, 20, 2);
-        let losses: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
-        let grads_flat: Vec<f64> = (0..20 * 3).map(|i| i as f64 * 0.01).collect();
-        let grads = MatRef::new(&grads_flat, 20, 3);
-
-        let mut batched = SplitCandidate::new(key, 3);
-        batched.accumulate_batch(xs, &losses, grads);
-
-        let mut sequential = SplitCandidate::new(key, 3);
-        for (i, &loss) in losses.iter().enumerate() {
-            if key.goes_left(xs.row(i)) {
-                sequential.accumulate(loss, grads.row(i));
-            }
-        }
-        assert_eq!(batched.count, sequential.count);
-        assert!(batched.count > 0);
-        assert_eq!(batched.loss_sum.to_bits(), sequential.loss_sum.to_bits());
-        for (a, b) in batched.grad_sum.iter().zip(sequential.grad_sum.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -9,7 +9,7 @@
 //! its segments of the batch's presorted feature columns.
 
 use dmt_models::linalg::{self, MatMut, MatRef};
-use dmt_models::memory::{slice_deep_bytes, vec_bytes};
+use dmt_models::memory::vec_bytes;
 use dmt_models::{Glm, MemoryUsage, SimpleModel as _};
 
 use crate::arena::{NodeArena, NodeId};
@@ -76,17 +76,19 @@ pub struct NodeStats {
     pub count: u64,
     /// Stored split candidates (at most `3·m` by default).
     pub candidates: Vec<SplitCandidate>,
+    /// Left-child gradient sums of the stored candidates, row-major with
+    /// [`NodeStats::k`] columns: row `i` belongs to `candidates[i]`.
+    pub candidate_grads: Vec<f64>,
 }
 
 impl MemoryUsage for NodeStats {
     /// Heap bytes of the leaf model parameters, the gradient accumulator and
-    /// the candidate pool (capacity-based, including each candidate's own
-    /// gradient vector).
+    /// the candidate pool (records and gradient matrix, capacity-based).
     fn memory_bytes(&self) -> usize {
         self.model.memory_bytes()
             + vec_bytes(&self.grad_sum)
             + vec_bytes(&self.candidates)
-            + slice_deep_bytes(&self.candidates)
+            + vec_bytes(&self.candidate_grads)
     }
 }
 
@@ -100,6 +102,7 @@ impl NodeStats {
             grad_sum: vec![0.0; params],
             count: 0,
             candidates: Vec::new(),
+            candidate_grads: Vec::new(),
         }
     }
 
@@ -118,6 +121,7 @@ impl NodeStats {
         self.grad_sum.iter_mut().for_each(|g| *g = 0.0);
         self.count = 0;
         self.candidates.clear();
+        self.candidate_grads.clear();
     }
 
     /// Number of free parameters `k` of the node's simple model.
@@ -131,6 +135,26 @@ impl NodeStats {
     /// on the affected node but no model quality.
     pub(crate) fn shed_candidates(&mut self) {
         self.candidates = Vec::new();
+        self.candidate_grads = Vec::new();
+    }
+
+    /// Left-child gradient sum of stored candidate `i`.
+    pub fn candidate_grad(&self, i: usize) -> &[f64] {
+        grad_row(&self.candidate_grads, i, self.k())
+    }
+
+    /// Store `candidate` with left-child gradient sum `grad` as the last
+    /// candidate of the pool.
+    fn push_candidate(&mut self, candidate: SplitCandidate, grad: &[f64]) {
+        self.candidates.push(candidate);
+        self.candidate_grads.extend_from_slice(grad);
+    }
+
+    /// Overwrite stored candidate `i` and its gradient row.
+    fn replace_candidate(&mut self, i: usize, candidate: SplitCandidate, grad: &[f64]) {
+        self.candidates[i] = candidate;
+        let k = grad.len();
+        self.candidate_grads[i * k..(i + 1) * k].copy_from_slice(grad);
     }
 
     /// First-order candidate-loss approximation of eq. (7):
@@ -143,9 +167,10 @@ impl NodeStats {
     }
 
     /// Gain (3) of splitting observations with statistics `(node_loss_sum,
-    /// node_grad_sum, node_count)` on `candidate`, measured against an
-    /// arbitrary `reference_loss`. Free function form so callers can iterate
-    /// the candidate pool mutably while borrowing the node accumulators.
+    /// node_grad_sum, node_count)` on `candidate` with left gradient sum
+    /// `grad`, measured against an arbitrary `reference_loss`. Free function
+    /// form so callers can iterate the candidate pool mutably while
+    /// borrowing the node accumulators.
     ///
     /// The right-child gradient norm is computed directly from the difference
     /// of the accumulators ([`linalg::sub_norm_sq`]), so no intermediate
@@ -156,30 +181,32 @@ impl NodeStats {
         node_grad_sum: &[f64],
         node_count: u64,
         candidate: &SplitCandidate,
+        grad: &[f64],
         reference_loss: f64,
         lr: f64,
     ) -> Option<f64> {
         if candidate.count == 0 || candidate.count >= node_count {
             return None;
         }
-        let left_approx =
-            Self::child_loss_approx(candidate.loss_sum, &candidate.grad_sum, candidate.count, lr);
+        let left_approx = Self::child_loss_approx(candidate.loss_sum, grad, candidate.count, lr);
         let right_loss = node_loss_sum - candidate.loss_sum;
         let right_count = node_count - candidate.count;
-        let right_norm_sq = linalg::sub_norm_sq(node_grad_sum, &candidate.grad_sum);
+        let right_norm_sq = linalg::sub_norm_sq(node_grad_sum, grad);
         let right_approx = right_loss - lr / right_count as f64 * right_norm_sq;
         Some(reference_loss - left_approx - right_approx)
     }
 
-    /// Gain (3) of splitting this node's observations on `candidate`,
-    /// measured against an arbitrary `reference_loss` (the node's own loss for
-    /// leaf splits, the subtree leaf-loss sum for inner-node replacements).
+    /// Gain (3) of splitting this node's observations on `candidate` with
+    /// left gradient sum `grad`, measured against an arbitrary
+    /// `reference_loss` (the node's own loss for leaf splits, the subtree
+    /// leaf-loss sum for inner-node replacements).
     ///
     /// Returns `None` when the candidate routes everything to one side, in
     /// which case no meaningful split exists.
     pub fn candidate_gain(
         &self,
         candidate: &SplitCandidate,
+        grad: &[f64],
         reference_loss: f64,
         lr: f64,
     ) -> Option<f64> {
@@ -188,6 +215,7 @@ impl NodeStats {
             &self.grad_sum,
             self.count,
             candidate,
+            grad,
             reference_loss,
             lr,
         )
@@ -198,7 +226,8 @@ impl NodeStats {
     pub fn best_candidate(&self, reference_loss: f64, lr: f64) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (i, candidate) in self.candidates.iter().enumerate() {
-            if let Some(gain) = self.candidate_gain(candidate, reference_loss, lr) {
+            let grad = self.candidate_grad(i);
+            if let Some(gain) = self.candidate_gain(candidate, grad, reference_loss, lr) {
                 if best.is_none_or(|(_, g)| gain > g) {
                     best = Some((i, gain));
                 }
@@ -287,8 +316,9 @@ impl NodeStats {
             columns,
             boundaries,
             acc_buf,
-            proposals_buf,
-            retired,
+            proposals,
+            proposal_grads,
+            ranking,
             buckets,
             ..
         } = scratch;
@@ -318,24 +348,20 @@ impl NodeStats {
         // boundary sweep that hands every candidate its left-prefix sums;
         // nominal features build per-category bucket accumulators from the
         // node's dictionary-id segment that serve both the distinct-code
-        // proposals and the candidate sums. Proposal `SplitCandidate`s are
-        // recycled through the `retired` pool, so the whole pass is
-        // allocation-free in steady state.
-        proposals_buf.clear();
-        Self::propose_and_accumulate(
-            &mut self.candidates,
-            proposals_buf,
-            retired,
+        // proposals and the candidate sums. Proposals go to the scratch
+        // space's record list and gradient matrix, whose capacity is reused,
+        // so the whole pass is allocation-free in steady state.
+        proposals.clear();
+        proposal_grads.clear();
+        let mut targets = Targets {
+            candidates: &mut self.candidates,
+            candidate_grads: &mut self.candidate_grads,
+            proposals,
+            proposal_grads,
             k,
-            xmat,
-            columns,
-            lo,
-            losses,
-            gradmat,
-            values_buf,
-            boundaries,
-            acc_buf,
-            buckets,
+        };
+        targets.propose_and_accumulate(
+            xmat, columns, lo, losses, gradmat, values_buf, boundaries, acc_buf, buckets,
         );
 
         // Refresh the stored candidates' gain estimates. Borrowing the
@@ -344,15 +370,23 @@ impl NodeStats {
         let reference_loss = self.loss_sum;
         let lr = config.learning_rate;
         let (loss_sum, grad_sum, count) = (self.loss_sum, &self.grad_sum, self.count);
-        for candidate in self.candidates.iter_mut() {
-            candidate.last_gain =
-                Self::gain_against(loss_sum, grad_sum, count, candidate, reference_loss, lr)
-                    .unwrap_or(f64::NEG_INFINITY);
+        for (i, candidate) in self.candidates.iter_mut().enumerate() {
+            let grad = grad_row(&self.candidate_grads, i, k);
+            candidate.last_gain = Self::gain_against(
+                loss_sum,
+                grad_sum,
+                count,
+                candidate,
+                grad,
+                reference_loss,
+                lr,
+            )
+            .unwrap_or(f64::NEG_INFINITY);
         }
 
         // Candidate pool management (§V-D): let the freshly proposed
         // candidates displace at most `replacement_rate` of the pool.
-        self.manage_candidate_pool(xmat.cols(), config, proposals_buf, retired);
+        self.manage_candidate_pool(m, config, proposals, proposal_grads, ranking);
 
         // Finally, train the simple model with constant-learning-rate SGD
         // over the gathered batch (§V-A); `config.batch_mode` selects the
@@ -367,36 +401,148 @@ impl NodeStats {
         );
     }
 
-    /// Pop a recycled candidate for `key` from the `retired` pool (reusing
-    /// its gradient allocation) or build a fresh one.
-    fn recycled_candidate(
-        retired: &mut Vec<SplitCandidate>,
-        key: CandidateKey,
-        k: usize,
-    ) -> SplitCandidate {
-        match retired.pop() {
-            Some(mut candidate) => {
-                candidate.reset_for(key, k);
-                candidate
+    /// Candidate pool management (§V-D): rank the freshly initialised
+    /// proposals (gradient row `i` of `proposal_grads` belongs to
+    /// `proposals[i]`) by descending gain with a stable sort, and let them
+    /// fill the free slots and then displace at most `replacement_rate` of
+    /// the stored pool. A proposal displaces the first of the worst stored
+    /// candidates, and only with a strictly higher gain. `ranking` is the
+    /// reusable buffer of the ranked proposal indices.
+    fn manage_candidate_pool(
+        &mut self,
+        num_features: usize,
+        config: &DmtConfig,
+        proposals: &mut [SplitCandidate],
+        proposal_grads: &[f64],
+        ranking: &mut Vec<u32>,
+    ) {
+        let max_candidates = config.max_candidates(num_features);
+        let max_replacements = ((max_candidates as f64) * config.replacement_rate).ceil() as usize;
+
+        if proposals.is_empty() {
+            return;
+        }
+        let k = self.k();
+        for (i, proposal) in proposals.iter_mut().enumerate() {
+            let grad = grad_row(proposal_grads, i, k);
+            proposal.last_gain = self
+                .candidate_gain(proposal, grad, self.loss_sum, config.learning_rate)
+                .unwrap_or(f64::NEG_INFINITY);
+        }
+        ranking.clear();
+        ranking.extend(0..proposals.len() as u32);
+        ranking.sort_by(|&a, &b| {
+            proposals[b as usize]
+                .last_gain
+                .partial_cmp(&proposals[a as usize].last_gain)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+
+        // The first `admitted_free` ranked proposals take the free slots;
+        // the pool grows by exactly those rows instead of doubling.
+        let admitted_free = max_candidates
+            .saturating_sub(self.candidates.len())
+            .min(proposals.len());
+        self.candidates.reserve_exact(admitted_free);
+        self.candidate_grads.reserve_exact(admitted_free * k);
+        let mut replacements_used = 0usize;
+        for &i in ranking.iter() {
+            let proposal = proposals[i as usize];
+            let grad = grad_row(proposal_grads, i as usize, k);
+            if self.candidates.len() < max_candidates {
+                self.push_candidate(proposal, grad);
+                continue;
             }
-            None => SplitCandidate::new(key, k),
+            if replacements_used >= max_replacements {
+                break;
+            }
+            // Find the currently worst stored candidate.
+            let Some((worst_idx, worst_gain)) = self
+                .candidates
+                .iter()
+                .map(|c| c.last_gain)
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+            else {
+                break;
+            };
+            if proposal.last_gain > worst_gain {
+                self.replace_candidate(worst_idx, proposal, grad);
+                replacements_used += 1;
+            }
+        }
+    }
+}
+
+/// Row `i` of the row-major gradient matrix `grads` with `k` columns.
+fn grad_row(grads: &[f64], i: usize, k: usize) -> &[f64] {
+    &grads[i * k..(i + 1) * k]
+}
+
+/// The candidates one node update accumulates into: the node's stored pool
+/// (targets `0..stored`) followed by the batch's fresh proposals (targets
+/// `stored..`), each a record plus a row of its `k`-column gradient matrix.
+struct Targets<'a> {
+    candidates: &'a mut [SplitCandidate],
+    candidate_grads: &'a mut [f64],
+    proposals: &'a mut Vec<SplitCandidate>,
+    proposal_grads: &'a mut Vec<f64>,
+    k: usize,
+}
+
+impl Targets<'_> {
+    /// Key of target `t`.
+    fn key(&self, t: usize) -> CandidateKey {
+        match t.checked_sub(self.candidates.len()) {
+            None => self.candidates[t].key,
+            Some(p) => self.proposals[p].key,
         }
     }
 
-    /// Whether `key` already exists in the stored pool or among the fresh
-    /// proposals (within the [`CandidateKey::same_as`] tolerance).
-    fn already_stored(
-        candidates: &[SplitCandidate],
-        proposals: &[SplitCandidate],
-        key: &CandidateKey,
-    ) -> bool {
-        candidates.iter().any(|c| c.key.same_as(key))
-            || proposals.iter().any(|p| p.key.same_as(key))
+    /// The stored candidates followed by the proposals from `first` on.
+    fn stored_and_proposed_from(&self, first: usize) -> impl Iterator<Item = usize> {
+        let stored = self.candidates.len();
+        (0..stored).chain(stored + first..stored + self.proposals.len())
+    }
+
+    /// Propose a split of `feature` at each of `values` with zeroed sums,
+    /// skipping keys that already exist among the stored candidates or the
+    /// proposals (within the [`CandidateKey::same_as`] tolerance). The
+    /// proposal buffers grow by at most `values.len()` rows, exactly, so
+    /// they settle at the largest proposal set instead of doubling past it.
+    fn propose(&mut self, feature: usize, is_nominal: bool, values: &[f64]) {
+        self.proposals.reserve_exact(values.len());
+        self.proposal_grads.reserve_exact(values.len() * self.k);
+        for &value in values {
+            let key = CandidateKey {
+                feature,
+                value,
+                is_nominal,
+            };
+            let mut known = self.candidates.iter().chain(self.proposals.iter());
+            if !known.any(|c| c.key.same_as(&key)) {
+                self.proposals.push(SplitCandidate::new(key));
+                self.proposal_grads
+                    .resize(self.proposal_grads.len() + self.k, 0.0);
+            }
+        }
+    }
+
+    /// Add left-subset statistics (`loss`, `count` rows, gradient `grad`)
+    /// to target `t`.
+    fn add(&mut self, t: usize, loss: f64, count: u64, grad: &[f64]) {
+        let (record, grads, i) = match t.checked_sub(self.candidates.len()) {
+            None => (&mut self.candidates[t], &mut *self.candidate_grads, t),
+            Some(p) => (&mut self.proposals[p], &mut self.proposal_grads[..], p),
+        };
+        record.loss_sum += loss;
+        record.count += count;
+        linalg::add_assign(&mut grads[i * self.k..(i + 1) * self.k], grad);
     }
 
     /// Combined per-feature proposal + accumulation pass over the batched
-    /// loss/gradient buffers, appending fresh proposals to `proposals`. The
-    /// node's rows own the segments `lo..lo + b` of the batch `columns`:
+    /// loss/gradient buffers, appending fresh proposals. The node's rows own
+    /// the segments `lo..lo + b` of the batch `columns`:
     ///
     /// * **Numeric features**: the segment lists the node's rows sorted by
     ///   [`numeric_sort_key`] (sorted once per batch at the root and
@@ -418,14 +564,11 @@ impl NodeStats {
     ///
     /// Both paths select the identical row set as a per-row scan with
     /// [`CandidateKey::goes_left`] (pinned by tests); only the floating-point
-    /// summation order differs. Proposal candidates are recycled through
-    /// `retired`, so the steady-state pass performs no heap allocation.
+    /// summation order differs. The proposal buffers keep their capacity, so
+    /// the steady-state pass performs no heap allocation.
     #[allow(clippy::too_many_arguments)] // threaded scratch buffers, not state
     fn propose_and_accumulate(
-        candidates: &mut [SplitCandidate],
-        proposals: &mut Vec<SplitCandidate>,
-        retired: &mut Vec<SplitCandidate>,
-        k: usize,
+        &mut self,
         xs: MatRef<'_>,
         columns: &BatchColumns,
         lo: usize,
@@ -436,14 +579,13 @@ impl NodeStats {
         acc_buf: &mut Vec<f64>,
         buckets: &mut Buckets,
     ) {
-        /// Tag bit marking a boundary that belongs to the proposal list.
-        const PROPOSAL_TAG: u32 = 1 << 31;
+        let k = self.k;
         let b = xs.rows();
         let m = xs.cols();
         let data = xs.as_slice();
         let cmp_f64 = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
         for (feature, &kind) in columns.kinds.iter().enumerate() {
-            let proposal_start = proposals.len();
+            let proposal_start = self.proposals.len();
             match kind {
                 Column::Nominal(c) => {
                     // Bucket pass: one accumulator per distinct category of
@@ -478,11 +620,7 @@ impl NodeStats {
                         let j = *slot as usize;
                         bucket_losses[j] += losses[r];
                         counts[j] += 1;
-                        let row = grads.row(r);
-                        let out = &mut bucket_grads[j * k..(j + 1) * k];
-                        for (o, &g) in out.iter_mut().zip(row.iter()) {
-                            *o += g;
-                        }
+                        linalg::add_assign(&mut bucket_grads[j * k..(j + 1) * k], grads.row(r));
                     }
                     for &id in ids.iter() {
                         slot_of_id[id as usize] = NO_SLOT;
@@ -502,22 +640,20 @@ impl NodeStats {
                     );
                     values_buf.sort_by(cmp_f64);
                     values_buf.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-                    for &value in values_buf.iter() {
-                        let key = CandidateKey {
-                            feature,
-                            value,
-                            is_nominal: true,
-                        };
-                        if !Self::already_stored(candidates, proposals, &key) {
-                            proposals.push(Self::recycled_candidate(retired, key, k));
+                    self.propose(feature, true, values_buf);
+                    // Every candidate of this feature sums the buckets of
+                    // the categories passing its test.
+                    for t in self.stored_and_proposed_from(proposal_start) {
+                        let key = self.key(t);
+                        if key.feature != feature {
+                            continue;
                         }
-                    }
-                    for candidate in candidates
-                        .iter_mut()
-                        .filter(|c| c.key.feature == feature)
-                        .chain(proposals[proposal_start..].iter_mut())
-                    {
-                        Self::add_bucket_stats(candidate, buckets, &columns.codes, k);
+                        for (j, &id) in buckets.ids.iter().enumerate() {
+                            if key.test_value(columns.codes[id as usize]) {
+                                let grad = &buckets.grads[j * k..(j + 1) * k];
+                                self.add(t, buckets.losses[j], buckets.counts[j], grad);
+                            }
+                        }
                     }
                 }
                 Column::Numeric(c) => {
@@ -535,197 +671,64 @@ impl NodeStats {
                     ]);
                     values_buf.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
                     values_buf.retain(|v| v.is_finite());
-                    for &value in values_buf.iter() {
-                        let key = CandidateKey {
-                            feature,
-                            value,
-                            is_nominal: false,
-                        };
-                        if !Self::already_stored(candidates, proposals, &key) {
-                            proposals.push(Self::recycled_candidate(retired, key, k));
-                        }
-                    }
+                    self.propose(feature, false, values_buf);
                     // Boundary sweep: every candidate's left subset is the
                     // sorted prefix up to its threshold. Collect the prefix
                     // lengths, then walk the sorted rows once with a running
-                    // accumulator, emitting at each boundary; the bound uses
-                    // exactly the arithmetic of `test_value`, so the selected
-                    // row set matches per-row routing bit-for-bit.
+                    // accumulator up to each boundary in turn and emit there;
+                    // the bound uses exactly the arithmetic of `test_value`,
+                    // so the selected row set matches per-row routing
+                    // bit-for-bit.
                     boundaries.clear();
-                    for (ci, candidate) in candidates
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.key.feature == feature)
-                    {
-                        let threshold = numeric_sort_key(candidate.key.value);
+                    for t in self.stored_and_proposed_from(proposal_start) {
+                        let key = self.key(t);
+                        if key.feature != feature {
+                            continue;
+                        }
+                        let threshold = numeric_sort_key(key.value);
                         let hi = sorted.partition_point(|&(key, _)| key <= threshold);
                         if hi > 0 {
-                            boundaries.push((hi as u32, ci as u32));
+                            boundaries.push((hi as u32, t as u32));
                         }
-                    }
-                    for (pi, proposal) in proposals[proposal_start..].iter().enumerate() {
-                        let threshold = numeric_sort_key(proposal.key.value);
-                        let hi = sorted.partition_point(|&(key, _)| key <= threshold);
-                        if hi > 0 {
-                            boundaries
-                                .push((hi as u32, (proposal_start + pi) as u32 | PROPOSAL_TAG));
-                        }
-                    }
-                    if boundaries.is_empty() {
-                        continue;
                     }
                     boundaries.sort_unstable();
                     acc_buf.clear();
                     acc_buf.resize(k, 0.0);
                     let mut acc_loss = 0.0;
-                    let mut next = 0usize;
-                    for (pos, &(_, row_index)) in sorted.iter().enumerate() {
-                        while next < boundaries.len() && boundaries[next].0 as usize == pos {
-                            let (hi, tag) = boundaries[next];
-                            let target = if tag & PROPOSAL_TAG != 0 {
-                                &mut proposals[(tag & !PROPOSAL_TAG) as usize]
-                            } else {
-                                &mut candidates[tag as usize]
-                            };
-                            target.loss_sum += acc_loss;
-                            target.count += hi as u64;
-                            for (g, &a) in target.grad_sum.iter_mut().zip(acc_buf.iter()) {
-                                *g += a;
-                            }
-                            next += 1;
+                    let mut swept = 0u32;
+                    let mut rows = sorted.iter().map(|&(_, r)| r as usize);
+                    for &(hi, t) in boundaries.iter() {
+                        for r in rows.by_ref().take((hi - swept) as usize) {
+                            acc_loss += losses[r];
+                            linalg::add_assign(acc_buf, grads.row(r));
                         }
-                        if next == boundaries.len() {
-                            break;
-                        }
-                        let r = row_index as usize;
-                        acc_loss += losses[r];
-                        let row = grads.row(r);
-                        for (a, &g) in acc_buf.iter_mut().zip(row.iter()) {
-                            *a += g;
-                        }
-                    }
-                    // Boundaries covering the whole batch emit after the sweep.
-                    while next < boundaries.len() {
-                        let (hi, tag) = boundaries[next];
-                        let target = if tag & PROPOSAL_TAG != 0 {
-                            &mut proposals[(tag & !PROPOSAL_TAG) as usize]
-                        } else {
-                            &mut candidates[tag as usize]
-                        };
-                        target.loss_sum += acc_loss;
-                        target.count += hi as u64;
-                        for (g, &a) in target.grad_sum.iter_mut().zip(acc_buf.iter()) {
-                            *g += a;
-                        }
-                        next += 1;
+                        swept = hi;
+                        self.add(t as usize, acc_loss, u64::from(hi), acc_buf);
                     }
                 }
-            }
-        }
-    }
-
-    /// Add one batch's left-subset statistics to a *nominal* `candidate`
-    /// from the per-category buckets: every bucket whose category code
-    /// (`codes` maps a bucket's dictionary id to it) passes
-    /// [`CandidateKey::test_value`] contributes its sums.
-    fn add_bucket_stats(
-        candidate: &mut SplitCandidate,
-        buckets: &Buckets,
-        codes: &[f64],
-        k: usize,
-    ) {
-        debug_assert!(candidate.key.is_nominal, "numeric candidates use prefixes");
-        for (j, &id) in buckets.ids.iter().enumerate() {
-            if candidate.key.test_value(codes[id as usize]) {
-                candidate.loss_sum += buckets.losses[j];
-                candidate.count += buckets.counts[j];
-                let g = &buckets.grads[j * k..(j + 1) * k];
-                for (a, &v) in candidate.grad_sum.iter_mut().zip(g.iter()) {
-                    *a += v;
-                }
-            }
-        }
-    }
-
-    /// Candidate pool management (§V-D): rank the freshly initialised
-    /// proposals and let them displace at most `replacement_rate` of the
-    /// stored pool. Displaced and rejected candidates return to the
-    /// `retired` recycling pool so the next proposal round reuses their
-    /// gradient allocations.
-    fn manage_candidate_pool(
-        &mut self,
-        num_features: usize,
-        config: &DmtConfig,
-        proposals: &mut Vec<SplitCandidate>,
-        retired: &mut Vec<SplitCandidate>,
-    ) {
-        let max_candidates = config.max_candidates(num_features);
-        let max_replacements = ((max_candidates as f64) * config.replacement_rate).ceil() as usize;
-
-        if proposals.is_empty() {
-            return;
-        }
-        for candidate in proposals.iter_mut() {
-            candidate.last_gain = self
-                .candidate_gain(candidate, self.loss_sum, config.learning_rate)
-                .unwrap_or(f64::NEG_INFINITY);
-        }
-        proposals.sort_by(|a, b| {
-            b.last_gain
-                .partial_cmp(&a.last_gain)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-        let mut replacements_used = 0usize;
-        for proposal in proposals.drain(..) {
-            if self.candidates.len() < max_candidates {
-                self.candidates.push(proposal);
-                continue;
-            }
-            if replacements_used >= max_replacements {
-                retired.push(proposal);
-                continue;
-            }
-            // Find the currently worst stored candidate.
-            let (worst_idx, worst_gain) =
-                match self.candidates.iter().enumerate().min_by(|(_, a), (_, b)| {
-                    a.last_gain
-                        .partial_cmp(&b.last_gain)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                }) {
-                    Some((i, c)) => (i, c.last_gain),
-                    None => {
-                        retired.push(proposal);
-                        continue;
-                    }
-                };
-            if proposal.last_gain > worst_gain {
-                retired.push(std::mem::replace(&mut self.candidates[worst_idx], proposal));
-                replacements_used += 1;
-            } else {
-                retired.push(proposal);
             }
         }
     }
 }
 
-/// Build the two warm-started child models for a split on `candidate`
-/// (eq. 6: a single gradient step from the parent parameters on each
+/// Build the two warm-started child models for a split on stored candidate
+/// `i` (eq. 6: a single gradient step from the parent parameters on each
 /// child's subset). The right-child gradient is materialised into the
 /// scratch gradient buffer (structural changes are rare, but there is no
 /// reason to allocate here either).
 fn warm_started_children(
     stats: &NodeStats,
-    candidate: &SplitCandidate,
+    i: usize,
     lr: f64,
     scratch: &mut UpdateScratch,
 ) -> (Glm, Glm) {
-    let left =
-        Glm::warm_start_with_gradient(&stats.model, &candidate.grad_sum, candidate.count, lr);
+    let count = stats.candidates[i].count;
+    let grad = stats.candidate_grad(i);
+    let left = Glm::warm_start_with_gradient(&stats.model, grad, count, lr);
     scratch.grad_buf.clear();
     scratch.grad_buf.resize(stats.grad_sum.len(), 0.0);
-    linalg::sub_into(&stats.grad_sum, &candidate.grad_sum, &mut scratch.grad_buf);
-    let right_count = stats.count - candidate.count;
+    linalg::sub_into(&stats.grad_sum, grad, &mut scratch.grad_buf);
+    let right_count = stats.count - count;
     let right = Glm::warm_start_with_gradient(&stats.model, &scratch.grad_buf, right_count, lr);
     (left, right)
 }
@@ -821,13 +824,13 @@ fn structural_check_inner(
         return GainDecision::Prune { gain: gain_prune };
     }
     if replace_ok && allow_growth {
-        let candidate = arena.stats(id).candidates[replace_idx].clone();
+        let candidate = arena.stats(id).candidates[replace_idx];
         // Ignore a "replacement" that would re-install the very same
         // split — it would only discard the children's progress without
         // changing the model structure.
         if !candidate.key.same_as(&key) {
             let (left_model, right_model) =
-                warm_started_children(arena.stats(id), &candidate, config.learning_rate, scratch);
+                warm_started_children(arena.stats(id), replace_idx, config.learning_rate, scratch);
             arena.stats_mut(id).reset_window();
             // Retire the old subtree first so the fresh children reuse
             // its free-listed slots instead of growing the arena.
@@ -897,13 +900,9 @@ pub(crate) fn learn_at(
         if let Some((best_idx, gain)) = stats.best_candidate(stats.loss_sum, config.learning_rate) {
             let k = stats.k();
             if config.accepts(gain, 2 * k, k) {
-                let candidate = stats.candidates[best_idx].clone();
-                let (left_model, right_model) = warm_started_children(
-                    arena.stats(id),
-                    &candidate,
-                    config.learning_rate,
-                    scratch,
-                );
+                let candidate = stats.candidates[best_idx];
+                let (left_model, right_model) =
+                    warm_started_children(stats, best_idx, config.learning_rate, scratch);
                 arena.stats_mut(id).reset_window();
                 arena.install_split(
                     id,
@@ -1047,7 +1046,7 @@ mod tests {
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         stats.update_with_batch(&rows, &ys, &[false, false], &cfg);
         assert!(!stats.candidates.is_empty());
-        for candidate in &stats.candidates {
+        for (i, candidate) in stats.candidates.iter().enumerate() {
             let mut count = 0u64;
             let mut loss_sum = 0.0;
             let mut grad_sum = vec![0.0; stats.k()];
@@ -1070,7 +1069,7 @@ mod tests {
                 candidate.loss_sum,
                 loss_sum
             );
-            for (a, b) in candidate.grad_sum.iter().zip(grad_sum.iter()) {
+            for (a, b) in stats.candidate_grad(i).iter().zip(grad_sum.iter()) {
                 assert!(
                     (a - b).abs() <= 1e-9 * b.abs().max(1.0),
                     "gradient sum diverged: {a} vs {b}"
@@ -1096,7 +1095,10 @@ mod tests {
         stats.update_with_batch(&rows, &ys, &[true, false], &cfg);
         let nominal_candidates = stats.candidates.iter().filter(|c| c.key.is_nominal).count();
         assert!(nominal_candidates > 0, "no nominal candidates proposed");
-        for candidate in stats.candidates.iter().filter(|c| c.key.is_nominal) {
+        for (i, candidate) in stats.candidates.iter().enumerate() {
+            if !candidate.key.is_nominal {
+                continue;
+            }
             let mut count = 0u64;
             let mut loss_sum = 0.0;
             let mut grad_sum = vec![0.0; stats.k()];
@@ -1118,7 +1120,7 @@ mod tests {
                 loss_sum.to_bits(),
                 "single-category bucket must accumulate in row order"
             );
-            for (a, b) in candidate.grad_sum.iter().zip(grad_sum.iter()) {
+            for (a, b) in stats.candidate_grad(i).iter().zip(grad_sum.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -1163,7 +1165,10 @@ mod tests {
         );
         let nominal_candidates = stats.candidates.iter().filter(|c| c.key.is_nominal).count();
         assert!(nominal_candidates > 0, "no nominal candidates proposed");
-        for candidate in stats.candidates.iter().filter(|c| c.key.is_nominal) {
+        for (i, candidate) in stats.candidates.iter().enumerate() {
+            if !candidate.key.is_nominal {
+                continue;
+            }
             let mut count = 0u64;
             let mut loss_sum = 0.0;
             let mut grad_sum = vec![0.0; stats.k()];
@@ -1186,7 +1191,7 @@ mod tests {
                 "the dictionary lookup changed the accumulation: {:?}",
                 candidate.key
             );
-            for (a, b) in candidate.grad_sum.iter().zip(grad_sum.iter()) {
+            for (a, b) in stats.candidate_grad(i).iter().zip(grad_sum.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -1242,8 +1247,8 @@ mod tests {
                 "a NaN row leaked into candidate {:?}",
                 candidate.key
             );
-            assert!(candidate.grad_sum.iter().all(|g| g.is_finite()));
         }
+        assert!(stats.candidate_grads.iter().all(|g| g.is_finite()));
     }
 
     #[test]
@@ -1342,6 +1347,122 @@ mod tests {
         }
     }
 
+    /// A node over two features (so `max_candidates` is 6 and at most
+    /// ⌈0.5 · 6⌉ = 3 candidates may be displaced per batch) whose window
+    /// holds 10 observations with zero loss and gradient, storing one
+    /// candidate `(value, last_gain)` per entry of `stored`.
+    fn pool_node(stored: &[(f64, f64)]) -> NodeStats {
+        let mut stats = NodeStats::new(Glm::new_zeros(2, 2));
+        stats.count = 10;
+        for &(value, gain) in stored {
+            let mut candidate = SplitCandidate::new(pool_key(value));
+            candidate.last_gain = gain;
+            stats.candidates.push(candidate);
+            stats.candidate_grads.extend([0.0; 3]);
+        }
+        stats
+    }
+
+    fn pool_key(value: f64) -> CandidateKey {
+        CandidateKey {
+            feature: 0,
+            value,
+            is_nominal: false,
+        }
+    }
+
+    /// Run pool management on `stats` with fresh proposals `(value, s)`.
+    /// Each proposal owns 5 of the 10 rows with a left gradient `[s, 0, 0]`,
+    /// so at learning rate 0.625 its gain is exactly `s² / 4`; `s = 0`
+    /// proposes a candidate with no rows, whose gain is `-inf`.
+    fn manage(stats: &mut NodeStats, proposals: &[(f64, f64)]) {
+        let cfg = DmtConfig {
+            learning_rate: 0.625,
+            ..config()
+        };
+        let mut fresh = Vec::new();
+        let mut grads = Vec::new();
+        for &(value, s) in proposals {
+            let mut candidate = SplitCandidate::new(pool_key(value));
+            if s != 0.0 {
+                candidate.count = 5;
+            }
+            fresh.push(candidate);
+            grads.extend([s, 0.0, 0.0]);
+        }
+        stats.manage_candidate_pool(2, &cfg, &mut fresh, &grads, &mut Vec::new());
+        // Every admitted proposal brought its own gradient row along.
+        assert_eq!(stats.candidate_grads.len(), 3 * stats.candidates.len());
+        for (i, candidate) in stats.candidates.iter().enumerate() {
+            let value = candidate.key.value;
+            let s = proposals.iter().find(|p| p.0 == value).map_or(0.0, |p| p.1);
+            assert_eq!(stats.candidate_grad(i), [s, 0.0, 0.0], "row of {value}");
+        }
+    }
+
+    fn pool_values(stats: &NodeStats) -> Vec<f64> {
+        stats.candidates.iter().map(|c| c.key.value).collect()
+    }
+
+    #[test]
+    fn pool_management_displaces_the_first_worst_candidate_within_the_cap() {
+        // Proposal gains 1, 36 and 4 against a full pool whose worst gain,
+        // 1, is shared by slots 1, 3 and 5. Ranked 36, 4, 1: the first two
+        // displace the first of the remaining worst slots; the third only
+        // ties the worst and must not displace it.
+        let stored = [
+            (1.0, 25.0),
+            (2.0, 1.0),
+            (3.0, 9.0),
+            (4.0, 1.0),
+            (5.0, 16.0),
+            (6.0, 1.0),
+        ];
+        let mut stats = pool_node(&stored);
+        manage(&mut stats, &[(11.0, 2.0), (12.0, 12.0), (13.0, 4.0)]);
+        assert_eq!(pool_values(&stats), [1.0, 12.0, 3.0, 13.0, 5.0, 6.0]);
+        let gains: Vec<f64> = stats.candidates.iter().map(|c| c.last_gain).collect();
+        assert_eq!(gains, [25.0, 36.0, 9.0, 4.0, 16.0, 1.0]);
+
+        // Five proposals that all beat every stored gain: only three may
+        // displace, best first, and the rest are dropped although gain 16
+        // still beats the remaining worst stored gain, 9.
+        let mut stats = pool_node(&stored);
+        manage(
+            &mut stats,
+            &[
+                (21.0, 8.0),
+                (22.0, 10.0),
+                (23.0, 12.0),
+                (24.0, 14.0),
+                (25.0, 6.0),
+            ],
+        );
+        assert_eq!(pool_values(&stats), [1.0, 24.0, 3.0, 23.0, 5.0, 22.0]);
+    }
+
+    #[test]
+    fn pool_management_admits_proposals_in_gain_order() {
+        // Four free slots and five proposals: the pool fills with the four
+        // best in descending gain order (the row-less proposal, gain -inf,
+        // last of them); the fifth then ties the worst stored gain, -inf,
+        // and is dropped.
+        let mut stats = pool_node(&[(1.0, 25.0), (2.0, 1.0)]);
+        manage(
+            &mut stats,
+            &[
+                (31.0, 2.0),
+                (32.0, 6.0),
+                (33.0, 0.0),
+                (34.0, 4.0),
+                (35.0, 0.0),
+            ],
+        );
+        assert_eq!(pool_values(&stats), [1.0, 2.0, 32.0, 34.0, 31.0, 33.0]);
+        let gains: Vec<f64> = stats.candidates.iter().map(|c| c.last_gain).collect();
+        assert_eq!(gains, [25.0, 1.0, 9.0, 4.0, 1.0, f64::NEG_INFINITY]);
+    }
+
     #[test]
     fn reset_window_clears_accumulators_but_keeps_model() {
         let mut stats = NodeStats::new(Glm::new_zeros(2, 2));
@@ -1356,6 +1477,7 @@ mod tests {
         assert_eq!(stats.count, 0);
         assert_eq!(stats.loss_sum, 0.0);
         assert!(stats.candidates.is_empty());
+        assert!(stats.candidate_grads.is_empty());
         assert_eq!(stats.model.params(), params_before.as_slice());
     }
 
@@ -1367,28 +1489,25 @@ mod tests {
             s.loss_sum = 5.0;
             s
         };
-        let mut all_left = SplitCandidate::new(
-            CandidateKey {
-                feature: 0,
-                value: 1e9,
-                is_nominal: false,
-            },
-            2,
-        );
+        let mut all_left = SplitCandidate::new(CandidateKey {
+            feature: 0,
+            value: 1e9,
+            is_nominal: false,
+        });
         all_left.count = 10;
         all_left.loss_sum = 5.0;
+        let grad = [0.0; 2];
         assert!(stats
-            .candidate_gain(&all_left, stats.loss_sum, 0.05)
+            .candidate_gain(&all_left, &grad, stats.loss_sum, 0.05)
             .is_none());
-        let empty = SplitCandidate::new(
-            CandidateKey {
-                feature: 0,
-                value: -1e9,
-                is_nominal: false,
-            },
-            2,
-        );
-        assert!(stats.candidate_gain(&empty, stats.loss_sum, 0.05).is_none());
+        let empty = SplitCandidate::new(CandidateKey {
+            feature: 0,
+            value: -1e9,
+            is_nominal: false,
+        });
+        assert!(stats
+            .candidate_gain(&empty, &grad, stats.loss_sum, 0.05)
+            .is_none());
     }
 
     #[test]

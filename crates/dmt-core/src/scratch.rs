@@ -11,7 +11,7 @@
 //! mark) the learn/predict path performs **no** per-instance heap
 //! allocations.
 
-use dmt_models::memory::{slice_deep_bytes, vec_bytes};
+use dmt_models::memory::vec_bytes;
 use dmt_models::MemoryUsage;
 
 use crate::candidate::SplitCandidate;
@@ -51,25 +51,26 @@ pub struct UpdateScratch {
     /// The batch's presorted numeric columns and dictionary-coded nominal
     /// columns, prepared once per batch and inherited down the tree.
     pub(crate) columns: BatchColumns,
-    /// `(prefix length, candidate tag)` boundaries of the numeric sweep,
-    /// sorted by prefix length.
+    /// `(prefix length, candidate)` boundaries of the numeric sweep, sorted
+    /// by prefix length.
     pub(crate) boundaries: Vec<(u32, u32)>,
     /// Running gradient accumulator of the numeric sweep (`num_params`).
     pub(crate) acc_buf: Vec<f64>,
-    /// Freshly proposed candidates of the current node update (drained into
-    /// the pool or retired each batch; capacity reused).
-    pub(crate) proposals_buf: Vec<SplitCandidate>,
-    /// Retired candidates recycled by the next proposal round, so
-    /// steady-state proposal generation never touches the allocator.
-    pub(crate) retired: Vec<SplitCandidate>,
+    /// Freshly proposed candidates of the current node update; admitted
+    /// ones are copied into the node's pool.
+    pub(crate) proposals: Vec<SplitCandidate>,
+    /// Left-child gradient sums of the proposals, row-major with
+    /// `num_params` columns: row `i` belongs to `proposals[i]`.
+    pub(crate) proposal_grads: Vec<f64>,
+    /// Proposal indices ranked by descending gain for pool management.
+    pub(crate) ranking: Vec<u32>,
     /// Per-category accumulators of the nominal feature currently being
     /// accumulated.
     pub(crate) buckets: Buckets,
 }
 
 impl MemoryUsage for UpdateScratch {
-    /// Heap bytes retained by every reusable buffer, including the gradient
-    /// vectors owned by pooled proposal/retired candidates.
+    /// Heap bytes retained by every reusable buffer.
     fn memory_bytes(&self) -> usize {
         vec_bytes(&self.losses)
             + vec_bytes(&self.grads)
@@ -83,10 +84,9 @@ impl MemoryUsage for UpdateScratch {
             + self.columns.memory_bytes()
             + vec_bytes(&self.boundaries)
             + vec_bytes(&self.acc_buf)
-            + vec_bytes(&self.proposals_buf)
-            + slice_deep_bytes(&self.proposals_buf)
-            + vec_bytes(&self.retired)
-            + slice_deep_bytes(&self.retired)
+            + vec_bytes(&self.proposals)
+            + vec_bytes(&self.proposal_grads)
+            + vec_bytes(&self.ranking)
             + self.buckets.memory_bytes()
     }
 }

@@ -526,20 +526,22 @@ pub fn decode_schema(r: &mut Reader<'_>) -> Result<StreamSchema, SnapshotError> 
     Ok(StreamSchema::new(name, features, num_classes))
 }
 
-fn encode_candidate(c: &SplitCandidate, w: &mut Writer) {
+fn encode_candidate(c: &SplitCandidate, grad: &[f64], w: &mut Writer) {
     w.put_usize(c.key.feature);
     w.put_f64(c.key.value);
     w.put_bool(c.key.is_nominal);
     w.put_f64(c.loss_sum);
-    w.put_f64_slice(&c.grad_sum);
+    w.put_f64_slice(grad);
     w.put_u64(c.count);
     w.put_f64(c.last_gain);
 }
 
+/// Decode one candidate record, appending its gradient row to `grads`.
 fn decode_candidate(
     r: &mut Reader<'_>,
     num_features: usize,
     num_params: usize,
+    grads: &mut Vec<f64>,
 ) -> Result<SplitCandidate, SnapshotError> {
     let feature = r.get_usize()?;
     let value = r.get_f64()?;
@@ -559,6 +561,7 @@ fn decode_candidate(
             grad_sum.len()
         )));
     }
+    grads.extend_from_slice(&grad_sum);
     Ok(SplitCandidate {
         key: CandidateKey {
             feature,
@@ -566,7 +569,6 @@ fn decode_candidate(
             is_nominal,
         },
         loss_sum,
-        grad_sum,
         count,
         last_gain,
     })
@@ -578,8 +580,8 @@ fn encode_stats(stats: &NodeStats, w: &mut Writer) {
     w.put_f64_slice(&stats.grad_sum);
     w.put_u64(stats.count);
     w.put_usize(stats.candidates.len());
-    for candidate in &stats.candidates {
-        encode_candidate(candidate, w);
+    for (i, candidate) in stats.candidates.iter().enumerate() {
+        encode_candidate(candidate, stats.candidate_grad(i), w);
     }
 }
 
@@ -610,8 +612,14 @@ fn decode_stats(
     // first missing candidate instead of reserving memory for it.
     let candidate_count = r.get_usize()?;
     let mut candidates = Vec::new();
+    let mut candidate_grads = Vec::new();
     for _ in 0..candidate_count {
-        candidates.push(decode_candidate(r, num_features, num_params)?);
+        candidates.push(decode_candidate(
+            r,
+            num_features,
+            num_params,
+            &mut candidate_grads,
+        )?);
     }
     Ok(NodeStats {
         model,
@@ -619,6 +627,7 @@ fn decode_stats(
         grad_sum,
         count,
         candidates,
+        candidate_grads,
     })
 }
 

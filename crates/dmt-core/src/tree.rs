@@ -315,10 +315,14 @@ impl DynamicModelTree {
     }
 
     /// The log of structural decisions `(observation count, decision)` taken
-    /// at the **root node** so far. Only actual changes are recorded — this
-    /// is the "why did you split this node at time u?" audit trail motivated
-    /// in §I-A, currently limited to root-level events (deeper changes show
-    /// up in [`DynamicModelTree::summary`] / the arena, not in this log).
+    /// so far — the "why did you split this node at time u?" audit trail
+    /// motivated in §I-A. Only actual changes are recorded, and two kinds
+    /// are logged: every split, prune or replacement Algorithm 1 makes at
+    /// the **root node**, and every subtree merge of the memory-budget
+    /// ladder (rung 3 of [`DmtConfig::memory_budget_bytes`]) at **any
+    /// depth**, as a [`GainDecision::Prune`]. Algorithm 1's changes below
+    /// the root are not logged; they show up in
+    /// [`DynamicModelTree::summary`] and the arena.
     pub fn decision_log(&self) -> &[(u64, GainDecision)] {
         &self.decisions
     }
@@ -417,9 +421,11 @@ impl DynamicModelTree {
     }
 
     /// Learn a batch and return the structural decision taken at the **root
-    /// node** (useful for monitoring). Only that root-level decision is
-    /// appended to [`DynamicModelTree::decision_log`]; structural changes
-    /// deeper in the tree are visible through the structure itself
+    /// node** (useful for monitoring). A root decision other than
+    /// [`GainDecision::Keep`] is appended to
+    /// [`DynamicModelTree::decision_log`], followed by any merge the budget
+    /// ladder makes at the end of the batch, at whatever depth. Algorithm 1's
+    /// changes deeper in the tree are visible through the structure itself
     /// ([`DynamicModelTree::summary`], [`DynamicModelTree::arena`]) but are
     /// not individually logged.
     pub fn learn_batch_traced(&mut self, xs: Rows<'_>, ys: &[usize]) -> GainDecision {
@@ -705,8 +711,7 @@ impl DynamicModelTree {
                 break;
             }
             let stats = self.arena.stats_mut(id);
-            let freed = vec_bytes(&stats.candidates)
-                + dmt_models::memory::slice_deep_bytes(&stats.candidates);
+            let freed = vec_bytes(&stats.candidates) + vec_bytes(&stats.candidate_grads);
             stats.shed_candidates();
             bytes = bytes.saturating_sub(freed);
         }
@@ -936,6 +941,57 @@ mod tests {
             let (obs, decision) = &tree.decision_log()[0];
             assert!(*obs > 0);
             assert!(matches!(decision, GainDecision::Split { .. }));
+        }
+    }
+
+    #[test]
+    fn budget_ladder_merges_are_logged_at_any_depth() {
+        // An XOR concept grows an inner root with inner children. A budget no
+        // tree can meet then makes rung 3 merge subtrees, best prune gain
+        // first, until the root is a leaf. Every merge is logged as a prune
+        // stamped with the batch's observation count. The root merge ends
+        // the ladder, so all merges logged before it were below the root.
+        let batch = |round: usize| {
+            let xs: Vec<Vec<f64>> = (0..200)
+                .map(|i| {
+                    let t = ((i * 7 + round * 13) % 101) as f64 / 101.0;
+                    let u = ((i * 31 + round * 3) % 67) as f64 / 67.0;
+                    vec![t, u]
+                })
+                .collect();
+            let ys: Vec<usize> = xs
+                .iter()
+                .map(|x| usize::from((x[0] > 0.5) != (x[1] > 0.5)))
+                .collect();
+            (xs, ys)
+        };
+        let config = DmtConfig {
+            parallelism: Parallelism::Serial,
+            ..DmtConfig::default()
+        };
+        let mut tree = DynamicModelTree::new(StreamSchema::numeric("xor", 2, 2), config);
+        for round in 0..200 {
+            let (xs, ys) = batch(round);
+            let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+            tree.learn_batch(&rows, &ys);
+        }
+        assert!(tree.depth() >= 2, "the XOR tree has depth {}", tree.depth());
+
+        let logged = tree.decision_log().len();
+        tree.set_memory_budget(Some(1));
+        let (xs, ys) = batch(200);
+        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        let decision = tree.learn_batch_traced(&rows, &ys);
+        assert!(tree.arena().is_leaf(tree.root_id()));
+        assert!(tree.growth_frozen());
+        let merges = &tree.decision_log()[logged + usize::from(decision != GainDecision::Keep)..];
+        assert!(
+            merges.len() >= 2,
+            "expected merges below the root before the root merge: {merges:?}"
+        );
+        for (observations, merge) in merges {
+            assert_eq!(*observations, tree.observations());
+            assert!(matches!(merge, GainDecision::Prune { .. }), "{merge:?}");
         }
     }
 

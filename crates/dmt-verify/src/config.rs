@@ -112,15 +112,14 @@ pub fn workspace_config() -> WorkspaceConfig {
                     "update_with_batch_indexed",
                     "update_presorted",
                     "propose_and_accumulate",
-                    "add_bucket_stats",
+                    "propose",
+                    "add",
                     "manage_candidate_pool",
+                    "push_candidate",
+                    "replace_candidate",
                     "partition_indices",
                     "learn_at",
                 ],
-            ),
-            (
-                "crates/dmt-core/src/candidate.rs",
-                &["accumulate", "accumulate_batch"],
             ),
             ("crates/dmt-core/src/snapshot.rs", &["crc32"]),
         ],

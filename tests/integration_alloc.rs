@@ -385,6 +385,38 @@ fn ensemble_prediction_measurement() {
 fn mixed_stream_learn_measurement() {
     let mut tree = DynamicModelTree::new(mixed_schema(), DmtConfig::default());
     learn_measurement(&mut tree, make_mixed_batch, 8);
+    clone_measurement(&tree);
+}
+
+/// Every epoch publish clones the tree, so a clone may allocate only a small
+/// constant per arena slot — the node model, its gradient window, its
+/// candidate records and its candidate gradient matrix — however many
+/// candidates each node stores, plus a fixed cost for the arena columns, the
+/// schema and the decision log.
+fn clone_measurement(tree: &DynamicModelTree) {
+    let arena = tree.arena();
+    let slots = arena.num_slots() as u64;
+    let mut live = Vec::new();
+    arena.preorder_ids(tree.root_id(), &mut live);
+    let stored: usize = live
+        .iter()
+        .map(|&id| arena.stats(id).candidates.len())
+        .sum();
+    assert!(
+        stored as u64 >= 4 * live.len() as u64,
+        "the warmed tree stores only {stored} candidates over {} nodes",
+        live.len()
+    );
+
+    let before = allocations();
+    let clone = tree.clone();
+    let clone_allocs = allocations() - before;
+    drop(clone);
+    assert!(
+        clone_allocs <= 4 * slots + 32,
+        "tree.clone() made {clone_allocs} allocations for {slots} arena slots \
+         holding {stored} candidates"
+    );
 }
 
 fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {

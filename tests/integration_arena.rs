@@ -53,7 +53,7 @@ fn rounds_per_phase(batch_size: usize) -> usize {
 
 /// Assert two trees are bit-identical: same structure (walked by id in
 /// lockstep), same split keys, same model parameters, same window
-/// accumulators and same candidate pools.
+/// accumulators and same candidate pools (records and gradient rows).
 fn assert_trees_bit_identical(a: &DynamicModelTree, b: &DynamicModelTree) {
     use dmt::models::SimpleModel;
     assert_eq!(a.num_inner_nodes(), b.num_inner_nodes());
@@ -74,13 +74,20 @@ fn assert_trees_bit_identical(a: &DynamicModelTree, b: &DynamicModelTree) {
             assert_eq!(ga.to_bits(), gb.to_bits());
         }
         assert_eq!(sa.candidates.len(), sb.candidates.len());
-        for (ca, cb) in sa.candidates.iter().zip(sb.candidates.iter()) {
+        for (i, (ca, cb)) in sa.candidates.iter().zip(sb.candidates.iter()).enumerate() {
             assert_eq!(ca.key.feature, cb.key.feature);
             assert_eq!(ca.key.value.to_bits(), cb.key.value.to_bits());
             assert_eq!(ca.key.is_nominal, cb.key.is_nominal);
             assert_eq!(ca.count, cb.count);
             assert_eq!(ca.loss_sum.to_bits(), cb.loss_sum.to_bits());
+            assert_eq!(ca.last_gain.to_bits(), cb.last_gain.to_bits());
+            let (ga, gb) = (sa.candidate_grad(i), sb.candidate_grad(i));
+            assert_eq!(ga.len(), sb.k());
+            for (x, y) in ga.iter().zip(gb.iter()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
         }
+        assert_eq!(sa.candidate_grads.len(), sb.candidate_grads.len());
         match (arena_a.children(ia), arena_b.children(ib)) {
             (None, None) => {}
             (Some((la, ra)), Some((lb, rb))) => {
